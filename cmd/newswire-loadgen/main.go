@@ -522,6 +522,10 @@ func runVerify(o options, sink *sinkProc, addrs []string, codec string, gob bool
 		}
 		time.Sleep(2 * time.Millisecond) // moderate rate: no queue overflow
 	}
+	// Wait on frames judged (decoded or corrupt), not frames read: the
+	// sink counts a frame before decoding it, and counts a gob clock
+	// frame until its decode uncounts it, so Frames can reach want while
+	// decodes are still in flight.
 	want := int64(o.verifyItems) * int64(len(addrs))
 	deadline := time.Now().Add(30 * time.Second)
 	var post sinkSnap
@@ -529,7 +533,8 @@ func runVerify(o options, sink *sinkProc, addrs []string, codec string, gob bool
 		if post, err = sink.snap(); err != nil {
 			return res, err
 		}
-		if post.Frames-pre.Frames >= want || time.Now().After(deadline) {
+		judged := post.Decoded + post.Corrupt - pre.Decoded - pre.Corrupt
+		if judged >= want || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(100 * time.Millisecond)

@@ -699,7 +699,7 @@ func (n *Node) PublishItem(it *news.Item, scope, predicate string) error {
 		return err
 	}
 	if predicate != "" {
-		if _, err := sqlagg.ParsePredicate(predicate); err != nil {
+		if _, err := sqlagg.ParsePredicate(predicate, nil); err != nil {
 			return err
 		}
 	}

@@ -186,7 +186,6 @@ type Router struct {
 	log       []LogEntry
 	logNext   int
 	stats     Stats
-	preds     map[string]*sqlagg.Predicate
 }
 
 // NewRouter validates cfg and returns a router.
@@ -240,7 +239,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		view:      cfg.View,
 		seen:      make(map[string]map[string]bool),
 		delivered: make(map[string]bool),
-		preds:     make(map[string]*sqlagg.Predicate),
 	}
 	if cfg.AckTimeout > 0 {
 		r.rq = newRetransmitQueue(cfg.MaxPendingAcks)
@@ -469,10 +467,11 @@ func (r *Router) fanOutChildZones(m *wire.Multicast) {
 	}
 	ownChild, _ := astrolabe.ChildToward(m.TargetZone, r.view.ZonePath())
 	ownName := astrolabe.ZoneName(ownChild)
+	pred, predOK := dissemination(&m.Envelope)
 
 	for _, row := range rows {
 		childZone := astrolabe.JoinZone(m.TargetZone, row.Name)
-		if !r.passesFilter(m.TargetZone, row, &m.Envelope) {
+		if !predOK || !r.passesFilter(m.TargetZone, row, &m.Envelope, pred) {
 			r.mu.Lock()
 			r.stats.FilteredOut++
 			r.stats.FilteredZone++
@@ -504,8 +503,9 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 	// With a frame-capable transport the deliver-copies are identical for
 	// every member, so collect the recipients and encode once.
 	var fanAddrs, fanRows []string
+	pred, predOK := dissemination(&m.Envelope)
 	for _, row := range rows {
-		if !r.passesFilter(m.TargetZone, row, &m.Envelope) {
+		if !predOK || !r.passesFilter(m.TargetZone, row, &m.Envelope, pred) {
 			r.mu.Lock()
 			r.stats.FilteredOut++
 			r.stats.FilteredLeaf++
@@ -824,33 +824,28 @@ func (r *Router) PendingAcks() int {
 	return r.rq.Len()
 }
 
-// passesFilter applies the pub/sub filter hook and the publisher's
-// dissemination predicate (§8) to a child row.
-func (r *Router) passesFilter(zone string, row astrolabe.Row, env *wire.ItemEnvelope) bool {
-	if env.Predicate != "" {
-		pred, err := r.predicate(env.Predicate)
-		if err != nil || !pred.Eval(row.Attrs) {
-			return false
-		}
+// dissemination parses the publisher's dissemination predicate (§8), once
+// per fan-out. The predicate arrives from the network and is untyped: it
+// reads zone and member attributes. ok is false when it does not parse,
+// and such an item goes to no row.
+func dissemination(env *wire.ItemEnvelope) (pred *sqlagg.Predicate, ok bool) {
+	if env.Predicate == "" {
+		return nil, true
+	}
+	pred, err := sqlagg.ParsePredicate(env.Predicate, nil)
+	return pred, err == nil
+}
+
+// passesFilter applies the dissemination predicate (nil when the item
+// has none) and the pub/sub filter hook to a child row.
+func (r *Router) passesFilter(zone string, row astrolabe.Row, env *wire.ItemEnvelope, pred *sqlagg.Predicate) bool {
+	if pred != nil && !pred.Eval(row.Attrs) {
+		return false
 	}
 	if r.cfg.Filter != nil {
 		return r.cfg.Filter(zone, row, env)
 	}
 	return true
-}
-
-func (r *Router) predicate(src string) (*sqlagg.Predicate, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.preds[src]; ok {
-		return p, nil
-	}
-	p, err := sqlagg.ParsePredicate(src)
-	if err != nil {
-		return nil, err
-	}
-	r.preds[src] = p
-	return p, nil
 }
 
 // deliverLocal hands env to the application unless it is a duplicate. tid

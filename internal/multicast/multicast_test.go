@@ -230,14 +230,20 @@ func TestMulticastPredicateGating(t *testing.T) {
 	env2 := envelope("impossible")
 	env2.Predicate = "load > 1000"
 	c.nodes[0].router.Publish(env2, "/")
+	// A predicate that does not parse gates out every row too.
+	env3 := envelope("malformed")
+	env3.Predicate = "load >"
+	c.nodes[0].router.Publish(env3, "/")
 	c.eng.RunFor(5 * time.Second)
 	for i, n := range c.nodes {
 		for _, k := range n.deliveredKeys() {
+			// Publisher's own leaf-zone fan-out also consults the
+			// predicate against leaf rows; neither item may reach anyone.
 			if k == "test/impossible#0" {
-				// Publisher's own leaf-zone fan-out also consults the
-				// predicate against leaf rows, which lack nmembers; the
-				// item must reach nobody.
 				t.Errorf("node %d received item with unsatisfiable predicate", i)
+			}
+			if k == "test/malformed#0" {
+				t.Errorf("node %d received item with malformed predicate", i)
 			}
 		}
 	}

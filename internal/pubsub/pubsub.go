@@ -205,7 +205,7 @@ type Subscriber struct {
 	subjects  map[string]bool
 	perPub    map[string]map[string]bool // publisher -> categories (mask mode)
 	predicate *sqlagg.Predicate
-	queries   map[string]*query.Predicate // canonical source -> predicate (ModePredicate)
+	queries   map[string]*sqlagg.Predicate // canonical source -> predicate (ModePredicate)
 }
 
 // NewSubscriber validates cfg and returns an empty-subscription
@@ -254,7 +254,7 @@ func NewSubscriber(cfg Config) (*Subscriber, error) {
 		vocab:    make(map[string]int, len(cfg.Vocabulary)),
 		subjects: make(map[string]bool),
 		perPub:   make(map[string]map[string]bool),
-		queries:  make(map[string]*query.Predicate),
+		queries:  make(map[string]*sqlagg.Predicate),
 	}
 	for i, c := range cfg.Vocabulary {
 		s.vocab[c] = i
@@ -322,13 +322,15 @@ func (s *Subscriber) SubscribePublisher(publisher string, categories ...string) 
 
 // SetPredicate installs an SQL selection predicate over item metadata, the
 // "more complex selection criteria based on the meta-data associated with
-// the news-items, in the form of an SQL query" (§8). An empty string
-// clears it.
+// the news-items, in the form of an SQL query" (§8). It is checked
+// against the same metadata schema as SubscribeQuery, so a misspelled
+// field is an error rather than a filter that drops every item. An empty
+// string clears it.
 func (s *Subscriber) SetPredicate(expr string) error {
 	var pred *sqlagg.Predicate
 	if expr != "" {
 		var err error
-		pred, err = sqlagg.ParsePredicate(expr)
+		pred, err = query.Parse(expr)
 		if err != nil {
 			return err
 		}
@@ -454,7 +456,7 @@ func (s *Subscriber) advertiseLocked() {
 			query.SubjectsSignature(subs).Fill(f)
 		}
 		for _, p := range s.queries {
-			p.Compile().Fill(f)
+			query.Compile(p).Fill(f)
 		}
 		s.cfg.Agent.SetAttrs(value.Map{
 			astrolabe.AttrSubs: value.Invalid(),
@@ -523,7 +525,7 @@ func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 	if !matched && s.cfg.Mode == ModePredicate && len(s.queries) > 0 {
 		row := ItemMetadataRow(env)
 		for _, p := range s.queries {
-			if p.Match(row) {
+			if p.Eval(row) {
 				matched = true
 				break
 			}

@@ -368,6 +368,18 @@ func TestShouldDeliverPredicate(t *testing.T) {
 	if err := s.SetPredicate("bad syntax ("); err == nil {
 		t.Fatal("bad predicate accepted")
 	}
+	// A misspelled field would silently drop every item at the leaf.
+	if err := s.SetPredicate("urgncy <= 5"); err == nil {
+		t.Fatal("predicate over an unknown field accepted")
+	}
+
+	// Subject equality is "some subject equals", as in SubscribeQuery.
+	if err := s.SetPredicate("subjects = 'tech/linux'"); err != nil {
+		t.Fatal(err)
+	}
+	if !s.ShouldDeliver(&envU) {
+		t.Fatal("subjects = 'tech/linux' rejected an item carrying tech/linux")
+	}
 	if err := s.SetPredicate(""); err != nil {
 		t.Fatal("clearing predicate failed")
 	}

@@ -4,11 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"newswire/internal/sqlagg"
 	"newswire/internal/value"
 )
 
 // FuzzParsePredicate asserts the parser never panics, and that anything
-// it accepts can be evaluated and compiled without panicking.
+// it accepts can be evaluated and compiled without panicking. Each input
+// is parsed twice: against the metadata schema, as subscriptions are,
+// and untyped, as a publisher's wire-supplied dissemination predicate is
+// before it is evaluated against zone-attribute rows.
 func FuzzParsePredicate(f *testing.F) {
 	seeds := []string{
 		"subject = 'tech/linux'",
@@ -31,13 +35,24 @@ func FuzzParsePredicate(f *testing.F) {
 		"subjects":  value.Strings([]string{"tech/linux"}),
 		"published": value.Time(time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)),
 	}
+	zone := value.Map{
+		"load":     value.Float(0.25),
+		"nmembers": value.Int(12),
+		"premium":  value.Bool(true),
+		"region":   value.String("asia"),
+		"reps":     value.Strings([]string{"10.0.0.1:7000", "10.0.0.2:7000"}),
+		"subs":     value.Bytes([]byte{0x0f, 0xf0}),
+	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if p, err := sqlagg.ParsePredicate(src, nil); err == nil {
+			_ = p.Eval(zone)
+		}
 		p, err := Parse(src)
 		if err != nil {
 			return
 		}
-		_ = p.Match(it)
-		_ = p.Compile()
+		_ = p.Eval(it)
+		_ = Compile(p)
 	})
 }
 

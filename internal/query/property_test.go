@@ -9,6 +9,7 @@ import (
 
 	"newswire/internal/bloom"
 	"newswire/internal/news"
+	"newswire/internal/sqlagg"
 	"newswire/internal/value"
 )
 
@@ -44,7 +45,7 @@ func TestSignatureNeverFalseNegative(t *testing.T) {
 			f := bloom.New(256, 3) // small and multi-hash: collisions likely
 			merged := bloom.New(256, 3)
 
-			preds := make([]*Predicate, 24)
+			preds := make([]*sqlagg.Predicate, 24)
 			for i := range preds {
 				src := g.predicate(3)
 				p, err := Parse(src)
@@ -58,7 +59,7 @@ func TestSignatureNeverFalseNegative(t *testing.T) {
 				}
 				preds[i] = p
 				pf := bloom.New(256, 3)
-				p.Compile().Fill(pf)
+				Compile(p).Fill(pf)
 				if err := merged.Merge(pf); err != nil {
 					t.Fatal(err)
 				}
@@ -68,12 +69,12 @@ func TestSignatureNeverFalseNegative(t *testing.T) {
 				subjects, publisher, urgency, r := g.item()
 				anyMatch := false
 				for _, p := range preds {
-					if !p.Match(r) {
+					if !p.Eval(r) {
 						continue
 					}
 					anyMatch = true
 					f.Clear()
-					p.Compile().Fill(f)
+					Compile(p).Fill(f)
 					if !probe(f, subjects, publisher, urgency) {
 						t.Fatalf("false negative: predicate %q matches item subjects=%v publisher=%q urgency=%d but its signature rejects it",
 							p.String(), subjects, publisher, urgency)

@@ -1,19 +1,18 @@
-// Package query implements NewsWire's typed subscription predicate
-// language over NITF-style news metadata — the "more complex selection
-// criteria based on the meta-data associated with the news-items, in the
-// form of an SQL query" of paper §7–8.
+// Package query is NewsWire's typed subscription predicate language over
+// NITF-style news metadata — the "more complex selection criteria based
+// on the meta-data associated with the news-items, in the form of an SQL
+// query" of paper §7–8.
 //
-// A predicate is a boolean expression over the fixed metadata fields of
-// pubsub.ItemMetadataRow (publisher, item_id, revision, urgency, subjects,
-// published), built from comparisons, IN lists, LIKE patterns, BETWEEN
-// ranges, and AND/OR/NOT. The lexer is sqlagg's (shared string escaping,
-// numbers, operators), with IN/LIKE/BETWEEN grafted on as contextual
-// keywords.
+// A predicate is a sqlagg predicate checked against the metadata schema
+// of pubsub.ItemMetadataRow (publisher, item_id, revision, urgency,
+// subjects, published): comparisons, IN lists, LIKE patterns, BETWEEN
+// ranges, and AND/OR/NOT, over those fields only. sqlagg parses and
+// evaluates it; this package owns the schema and the routing compiler.
 //
 // Each predicate supports two evaluations:
 //
-//   - Match: the exact evaluator, run at the leaf in place of the plain
-//     subject bit test. Multi-valued fields (subjects) match
+//   - Eval (sqlagg): the exact evaluator, run at the leaf in place of the
+//     plain subject bit test. Multi-valued fields (subjects) match
 //     existentially: subjects = 'x' is "some subject equals x", and
 //     subjects != 'x' is its negation ("no subject equals x").
 //   - Compile: a coarse routing Signature — per-dimension covers over the
@@ -22,409 +21,27 @@
 //     sound: it can forward too much, never too little (see signature.go).
 package query
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
+import "newswire/internal/sqlagg"
 
-	"newswire/internal/sqlagg"
-)
-
-// SyntaxError reports a lexical, grammatical, or type failure with its
-// byte position in the source.
-type SyntaxError struct {
-	Pos int
-	Msg string
-	Src string
-}
-
-func (e *SyntaxError) Error() string {
-	return fmt.Sprintf("query: %s at offset %d in %q", e.Msg, e.Pos, e.Src)
-}
-
-// fieldType is the static type of a metadata field or literal.
-type fieldType uint8
-
-const (
-	ftString  fieldType = iota + 1
-	ftInt               // revision, urgency
-	ftTime              // published (string literals, RFC 3339)
-	ftStrings           // subjects: multi-valued, existential semantics
-)
-
-func (t fieldType) String() string {
-	switch t {
-	case ftString:
-		return "string"
-	case ftInt:
-		return "integer"
-	case ftTime:
-		return "timestamp"
-	case ftStrings:
-		return "string set"
-	default:
-		return "unknown"
-	}
-}
-
-// fieldInfo describes one queryable metadata field.
-type fieldInfo struct {
-	name string // canonical name (aliases normalize to it)
-	typ  fieldType
-}
-
-// fields maps every accepted field spelling to its canonical descriptor.
-// The set mirrors news.MetadataFields; "subject" is accepted as an alias
-// for "subjects" since single-subject predicates read naturally with it.
-var fields = map[string]fieldInfo{
-	"publisher": {"publisher", ftString},
-	"item_id":   {"item_id", ftString},
-	"revision":  {"revision", ftInt},
-	"urgency":   {"urgency", ftInt},
-	"subjects":  {"subjects", ftStrings},
-	"subject":   {"subjects", ftStrings},
-	"published": {"published", ftTime},
+// schema maps every accepted field spelling to its canonical field. The
+// set mirrors news.MetadataFields; "subject" is accepted as an alias for
+// "subjects" since single-subject predicates read naturally with it.
+var schema = sqlagg.Schema{
+	"publisher": {Name: "publisher", Type: sqlagg.TypeString},
+	"item_id":   {Name: "item_id", Type: sqlagg.TypeString},
+	"revision":  {Name: "revision", Type: sqlagg.TypeInt},
+	"urgency":   {Name: "urgency", Type: sqlagg.TypeInt},
+	"subjects":  {Name: "subjects", Type: sqlagg.TypeStrings},
+	"subject":   {Name: "subjects", Type: sqlagg.TypeStrings},
+	"published": {Name: "published", Type: sqlagg.TypeTime},
 }
 
 // Fields returns the canonical queryable field names, sorted. It must
 // stay in lockstep with pubsub.ItemMetadataRow; a test pins it to
 // news.MetadataFields.
-func Fields() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, fi := range fields {
-		if !seen[fi.name] {
-			seen[fi.name] = true
-			out = append(out, fi.name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func Fields() []string { return schema.Names() }
 
-// literal is a typed constant: a string, an integer, or a timestamp
-// (written as an RFC 3339 string literal).
-type literal struct {
-	typ fieldType // ftString, ftInt, or ftTime
-	s   string
-	i   int64
-	t   time.Time
-}
-
-func (l literal) append(sb *strings.Builder) {
-	switch l.typ {
-	case ftInt:
-		sb.WriteString(strconv.FormatInt(l.i, 10))
-	case ftTime:
-		quoteString(sb, l.t.Format(time.RFC3339Nano))
-	default:
-		quoteString(sb, l.s)
-	}
-}
-
-// quoteString writes a single-quoted SQL string literal, doubling
-// embedded quotes (the sqlagg lexer's escape).
-func quoteString(sb *strings.Builder, s string) {
-	sb.WriteByte('\'')
-	sb.WriteString(strings.ReplaceAll(s, "'", "''"))
-	sb.WriteByte('\'')
-}
-
-// Predicate is a parsed, type-checked subscription predicate.
-type Predicate struct {
-	expr expr
-	src  string // canonical rendering (stable under re-parse)
-}
-
-// Parse parses and type-checks one predicate expression.
-func Parse(src string) (*Predicate, error) {
-	toks, err := sqlagg.Tokens(src, "IN", "LIKE", "BETWEEN")
-	if err != nil {
-		if se, ok := err.(*sqlagg.SyntaxError); ok {
-			return nil, &SyntaxError{Pos: se.Pos, Msg: se.Msg, Src: src}
-		}
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
-	e, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	if tok := p.peek(); tok.Kind != sqlagg.TokEOF {
-		return nil, p.errorf(tok.Pos, "unexpected %s %q after expression", tok.Kind, tok.Text)
-	}
-	var sb strings.Builder
-	e.append(&sb)
-	return &Predicate{expr: e, src: sb.String()}, nil
-}
-
-// String returns the canonical source: normalized field names and
-// operators, fully parenthesized combinators. Parsing the result yields
-// an identical predicate (FuzzRoundTrip pins this).
-func (p *Predicate) String() string { return p.src }
-
-type parser struct {
-	src  string
-	toks []sqlagg.Token
-	i    int
-}
-
-func (p *parser) peek() sqlagg.Token { return p.toks[p.i] }
-
-func (p *parser) next() sqlagg.Token {
-	tok := p.toks[p.i]
-	if tok.Kind != sqlagg.TokEOF {
-		p.i++
-	}
-	return tok
-}
-
-func (p *parser) errorf(pos int, format string, args ...any) error {
-	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...), Src: p.src}
-}
-
-// accept consumes the next token when it is the given keyword.
-func (p *parser) accept(keyword string) bool {
-	if tok := p.peek(); tok.Kind == sqlagg.TokKeyword && tok.Text == keyword {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *parser) expect(keyword string) error {
-	if !p.accept(keyword) {
-		tok := p.peek()
-		return p.errorf(tok.Pos, "expected %s, found %s %q", keyword, tok.Kind, tok.Text)
-	}
-	return nil
-}
-
-func (p *parser) acceptOp(op string) bool {
-	if tok := p.peek(); tok.Kind == sqlagg.TokOp && tok.Text == op {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *parser) parseOr() (expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept("OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &binExpr{or: true, l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept("AND") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &binExpr{l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (expr, error) {
-	if p.accept("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &notExpr{x: x}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *parser) parsePrimary() (expr, error) {
-	tok := p.peek()
-	switch {
-	case tok.Kind == sqlagg.TokOp && tok.Text == "(":
-		p.next()
-		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if !p.acceptOp(")") {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "expected ), found %s %q", t.Kind, t.Text)
-		}
-		return e, nil
-	case tok.Kind == sqlagg.TokKeyword && tok.Text == "TRUE":
-		p.next()
-		return boolLit(true), nil
-	case tok.Kind == sqlagg.TokKeyword && tok.Text == "FALSE":
-		p.next()
-		return boolLit(false), nil
-	case tok.Kind == sqlagg.TokIdent:
-		return p.parseAtom()
-	default:
-		return nil, p.errorf(tok.Pos, "expected a field name, TRUE, FALSE, NOT, or (, found %s %q", tok.Kind, tok.Text)
-	}
-}
-
-// parseAtom parses one field-rooted atom:
-//
-//	field cmpOp literal
-//	field [NOT] IN ( literal {, literal} )
-//	field [NOT] LIKE 'pattern'
-//	field [NOT] BETWEEN literal AND literal
-func (p *parser) parseAtom() (expr, error) {
-	tok := p.next()
-	fi, ok := fields[strings.ToLower(tok.Text)]
-	if !ok {
-		return nil, p.errorf(tok.Pos, "unknown field %q (fields: %s)", tok.Text, strings.Join(Fields(), ", "))
-	}
-
-	neg := false
-	if p.accept("NOT") {
-		neg = true
-		t := p.peek()
-		if t.Kind != sqlagg.TokKeyword || (t.Text != "IN" && t.Text != "LIKE" && t.Text != "BETWEEN") {
-			return nil, p.errorf(t.Pos, "expected IN, LIKE, or BETWEEN after NOT, found %s %q", t.Kind, t.Text)
-		}
-	}
-
-	switch {
-	case p.accept("IN"):
-		if !p.acceptOp("(") {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "expected ( after IN, found %s %q", t.Kind, t.Text)
-		}
-		var lits []literal
-		for {
-			lit, err := p.parseLiteral(fi)
-			if err != nil {
-				return nil, err
-			}
-			lits = append(lits, lit)
-			if p.acceptOp(",") {
-				continue
-			}
-			if p.acceptOp(")") {
-				break
-			}
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "expected , or ) in IN list, found %s %q", t.Kind, t.Text)
-		}
-		return &inExpr{f: fi, lits: lits, neg: neg}, nil
-
-	case p.accept("LIKE"):
-		if fi.typ != ftString && fi.typ != ftStrings {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "LIKE requires a string field, %s is %s", fi.name, fi.typ)
-		}
-		t := p.next()
-		if t.Kind != sqlagg.TokString {
-			return nil, p.errorf(t.Pos, "expected a string pattern after LIKE, found %s %q", t.Kind, t.Text)
-		}
-		return &likeExpr{f: fi, pattern: t.Text, neg: neg}, nil
-
-	case p.accept("BETWEEN"):
-		if fi.typ != ftInt && fi.typ != ftTime {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "BETWEEN requires an ordered field, %s is %s", fi.name, fi.typ)
-		}
-		lo, err := p.parseLiteral(fi)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseLiteral(fi)
-		if err != nil {
-			return nil, err
-		}
-		return &betweenExpr{f: fi, lo: lo, hi: hi, neg: neg}, nil
-	}
-
-	t := p.next()
-	if t.Kind != sqlagg.TokOp {
-		return nil, p.errorf(t.Pos, "expected a comparison operator after %s, found %s %q", fi.name, t.Kind, t.Text)
-	}
-	op := t.Text
-	if op == "<>" {
-		op = "!="
-	}
-	switch op {
-	case "=", "!=":
-	case "<", "<=", ">", ">=":
-		if fi.typ != ftInt && fi.typ != ftTime {
-			return nil, p.errorf(t.Pos, "ordered comparison %s requires an ordered field, %s is %s", op, fi.name, fi.typ)
-		}
-	default:
-		return nil, p.errorf(t.Pos, "unsupported operator %q", op)
-	}
-	lit, err := p.parseLiteral(fi)
-	if err != nil {
-		return nil, err
-	}
-	return &cmpExpr{f: fi, op: op, lit: lit}, nil
-}
-
-// parseLiteral parses one literal and checks it against the field's type.
-// Integer fields take integer numbers; string fields take string
-// literals; published takes an RFC 3339 (or date-only) string literal.
-func (p *parser) parseLiteral(fi fieldInfo) (literal, error) {
-	tok := p.next()
-	switch fi.typ {
-	case ftInt:
-		neg := false
-		if tok.Kind == sqlagg.TokOp && (tok.Text == "-" || tok.Text == "+") {
-			neg = tok.Text == "-"
-			tok = p.next()
-		}
-		if tok.Kind != sqlagg.TokNumber {
-			return literal{}, p.errorf(tok.Pos, "%s requires an integer literal, found %s %q", fi.name, tok.Kind, tok.Text)
-		}
-		n, err := strconv.ParseInt(tok.Text, 10, 64)
-		if err != nil {
-			return literal{}, p.errorf(tok.Pos, "%s requires an integer literal, %q is not one", fi.name, tok.Text)
-		}
-		if neg {
-			n = -n
-		}
-		return literal{typ: ftInt, i: n}, nil
-
-	case ftTime:
-		if tok.Kind != sqlagg.TokString {
-			return literal{}, p.errorf(tok.Pos, "%s requires a timestamp string literal, found %s %q", fi.name, tok.Kind, tok.Text)
-		}
-		ts, err := parseTimeLiteral(tok.Text)
-		if err != nil {
-			return literal{}, p.errorf(tok.Pos, "%s: %v", fi.name, err)
-		}
-		return literal{typ: ftTime, t: ts}, nil
-
-	default: // ftString, ftStrings
-		if tok.Kind != sqlagg.TokString {
-			return literal{}, p.errorf(tok.Pos, "%s requires a string literal, found %s %q", fi.name, tok.Kind, tok.Text)
-		}
-		return literal{typ: ftString, s: tok.Text}, nil
-	}
-}
-
-func parseTimeLiteral(s string) (time.Time, error) {
-	for _, layout := range []string{time.RFC3339Nano, time.RFC3339, "2006-01-02"} {
-		if t, err := time.Parse(layout, s); err == nil {
-			return t, nil
-		}
-	}
-	return time.Time{}, fmt.Errorf("%q is not an RFC 3339 timestamp or YYYY-MM-DD date", s)
-}
+// Parse parses and type-checks one predicate against the metadata
+// schema. Its String form is canonical: parsing it again yields an
+// identical predicate (FuzzPredicateRoundTrip pins this).
+func Parse(src string) (*sqlagg.Predicate, error) { return sqlagg.ParsePredicate(src, schema) }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"newswire/internal/news"
+	"newswire/internal/sqlagg"
 	"newswire/internal/value"
 )
 
@@ -67,8 +68,8 @@ func TestParseAndMatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tc.src, err)
 		}
-		if got := p.Match(it); got != tc.want {
-			t.Errorf("Match(%q) = %v, want %v", tc.src, got, tc.want)
+		if got := p.Eval(it); got != tc.want {
+			t.Errorf("Eval(%q) = %v, want %v", tc.src, got, tc.want)
 		}
 	}
 }
@@ -98,7 +99,7 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		} else {
-			var se *SyntaxError
+			var se *sqlagg.SyntaxError
 			if !errors.As(err, &se) {
 				t.Errorf("Parse(%q) error %T, want *SyntaxError", src, err)
 			}
@@ -195,36 +196,8 @@ func TestCompileCovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tc.src, err)
 		}
-		if got := p.Compile(); !reflect.DeepEqual(got, tc.want) {
+		if got := Compile(p); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("Compile(%q) = %+v, want %+v", tc.src, got, tc.want)
-		}
-	}
-}
-
-func TestLikeMatch(t *testing.T) {
-	cases := []struct {
-		pattern, s string
-		want       bool
-	}{
-		{"", "", true},
-		{"%", "", true},
-		{"%", "anything", true},
-		{"a%", "abc", true},
-		{"%c", "abc", true},
-		{"a%c", "abc", true},
-		{"a%c", "ac", true},
-		{"a_c", "abc", true},
-		{"a_c", "ac", false},
-		{"a%b%c", "axxbyyc", true},
-		{"abc", "abc", true},
-		{"abc", "abd", false},
-		{"%world/%", "world/politics", true},
-		{"__", "ab", true},
-		{"__", "a", false},
-	}
-	for _, tc := range cases {
-		if got := likeMatch(tc.pattern, tc.s); got != tc.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tc.pattern, tc.s, got, tc.want)
 		}
 	}
 }
@@ -239,8 +212,8 @@ func TestMatchMissingFieldsIsFalse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		if p.Match(empty) {
-			t.Errorf("Match(%q) on empty row = true, want false", src)
+		if p.Eval(empty) {
+			t.Errorf("Eval(%q) on empty row = true, want false", src)
 		}
 	}
 }

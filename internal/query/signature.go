@@ -6,6 +6,8 @@ import (
 
 	"newswire/internal/bloom"
 	"newswire/internal/news"
+	"newswire/internal/sqlagg"
+	"newswire/internal/value"
 )
 
 // Routing dimensions. A compiled signature covers three dimensions of an
@@ -146,111 +148,137 @@ type Cover struct {
 
 func topCover() Cover { return Cover{Subs: topStr(), Pubs: topStr(), Urg: urgAll} }
 
-func (b boolLit) cover() Cover {
-	if b {
-		return topCover()
-	}
-	// FALSE matches nothing; an all-empty cover never forwards, which is
-	// vacuously sound.
-	return Cover{}
-}
-
-func (e *binExpr) cover() Cover {
-	l, r := e.l.cover(), e.r.cover()
-	if e.or {
-		return Cover{
-			Subs: l.Subs.union(r.Subs),
-			Pubs: l.Pubs.union(r.Pubs),
-			Urg:  l.Urg | r.Urg,
-		}
-	}
-	return Cover{
-		Subs: l.Subs.tighter(r.Subs),
-		Pubs: l.Pubs.intersect(r.Pubs),
-		Urg:  l.Urg & r.Urg,
-	}
-}
-
-// cover of NOT widens to top: the complement of a finite cover is not
-// finitely coverable for string dimensions, and conservative widening
-// keeps the signature sound. Urgency-only negations written at the atom
-// level (urgency != 3, urgency NOT IN, NOT BETWEEN) keep exact masks —
-// they are compiled by their atoms, not through here.
-func (e *notExpr) cover() Cover { return topCover() }
-
-func (e *cmpExpr) cover() Cover {
+// cover computes the routing cover of a predicate tree that Parse
+// type-checked: boolean combinations of field-vs-literal atoms, with
+// subject equality already rewritten to IN. A node of any other shape
+// widens to top, which keeps the cover sound.
+func cover(e sqlagg.Expr) Cover {
 	c := topCover()
-	switch e.f.name {
-	case "subjects":
-		if e.op == "=" {
-			c.Subs = oneStr(e.lit.s)
+	switch n := e.(type) {
+	case *sqlagg.Literal:
+		// FALSE matches nothing; an all-empty cover never forwards,
+		// which is vacuously sound.
+		if !n.Val.Truthy() {
+			return Cover{}
 		}
-	case "publisher":
-		if e.op == "=" {
-			c.Pubs = oneStr(e.lit.s)
+
+	case *sqlagg.Unary:
+		// NOT widens to top: the complement of a finite cover is not
+		// finitely coverable for string dimensions. Urgency negations
+		// written at the atom level (urgency != 3, NOT IN, NOT BETWEEN)
+		// keep exact masks below.
+
+	case *sqlagg.Binary:
+		switch n.Op {
+		case "OR":
+			l, r := cover(n.L), cover(n.R)
+			return Cover{Subs: l.Subs.union(r.Subs), Pubs: l.Pubs.union(r.Pubs), Urg: l.Urg | r.Urg}
+		case "AND":
+			l, r := cover(n.L), cover(n.R)
+			return Cover{Subs: l.Subs.tighter(r.Subs), Pubs: l.Pubs.intersect(r.Pubs), Urg: l.Urg & r.Urg}
 		}
-	case "urgency":
-		u := e.lit.i
-		switch e.op {
-		case "=":
-			c.Urg = urgRange(u, u)
-		case "!=":
-			c.Urg = urgAll &^ urgRange(u, u)
-		case "<":
-			c.Urg = urgRange(0, u-1)
-		case "<=":
-			c.Urg = urgRange(0, u)
-		case ">":
-			c.Urg = urgRange(u+1, news.UrgencyMax)
-		case ">=":
-			c.Urg = urgRange(u, news.UrgencyMax)
+		lit := literal(n.R)
+		switch field(n.L) {
+		case "publisher":
+			if s, ok := lit.AsString(); ok && n.Op == "=" {
+				c.Pubs = oneStr(s)
+			}
+		case "urgency":
+			u, ok := lit.AsInt()
+			if !ok {
+				break
+			}
+			switch n.Op {
+			case "=":
+				c.Urg = urgRange(u, u)
+			case "!=":
+				c.Urg = urgAll &^ urgRange(u, u)
+			case "<":
+				c.Urg = urgRange(0, u-1)
+			case "<=":
+				c.Urg = urgRange(0, u)
+			case ">":
+				c.Urg = urgRange(u+1, news.UrgencyMax)
+			case ">=":
+				c.Urg = urgRange(u, news.UrgencyMax)
+			}
+		}
+
+	case *sqlagg.In:
+		switch f := field(n.X); f {
+		case "subjects", "publisher":
+			if n.Not {
+				break
+			}
+			vals := make([]string, 0, len(n.List))
+			for _, el := range n.List {
+				s, ok := literal(el).AsString()
+				if !ok {
+					return c
+				}
+				vals = append(vals, s)
+			}
+			if f == "subjects" {
+				c.Subs = setStr(vals)
+			} else {
+				c.Pubs = setStr(vals)
+			}
+		case "urgency":
+			var m urgMask
+			for _, el := range n.List {
+				u, ok := literal(el).AsInt()
+				if !ok {
+					return c
+				}
+				m |= urgRange(u, u)
+			}
+			if n.Not {
+				m = urgAll &^ m
+			}
+			c.Urg = m
+		}
+
+	case *sqlagg.Like:
+		if n.Not || hasWildcard(n.Pattern) {
+			break
+		}
+		// A wildcard-free pattern is an equality test.
+		switch field(n.X) {
+		case "subjects":
+			c.Subs = oneStr(n.Pattern)
+		case "publisher":
+			c.Pubs = oneStr(n.Pattern)
+		}
+
+	case *sqlagg.Between:
+		lo, ok1 := literal(n.Lo).AsInt()
+		hi, ok2 := literal(n.Hi).AsInt()
+		if field(n.X) == "urgency" && ok1 && ok2 {
+			m := urgRange(lo, hi)
+			if n.Not {
+				m = urgAll &^ m
+			}
+			c.Urg = m
 		}
 	}
 	return c
 }
 
-func (e *inExpr) cover() Cover {
-	c := topCover()
-	switch e.f.name {
-	case "subjects", "publisher":
-		if e.neg {
-			return c
-		}
-		vals := make([]string, len(e.lits))
-		for i, lit := range e.lits {
-			vals[i] = lit.s
-		}
-		if e.f.name == "subjects" {
-			c.Subs = setStr(vals)
-		} else {
-			c.Pubs = setStr(vals)
-		}
-	case "urgency":
-		var m urgMask
-		for _, lit := range e.lits {
-			m |= urgRange(lit.i, lit.i)
-		}
-		if e.neg {
-			m = urgAll &^ m
-		}
-		c.Urg = m
+// field is the column name e references, or "" for any other node.
+func field(e sqlagg.Expr) string {
+	if col, ok := e.(*sqlagg.ColumnRef); ok {
+		return col.Name
 	}
-	return c
+	return ""
 }
 
-func (e *likeExpr) cover() Cover {
-	c := topCover()
-	if e.neg || hasWildcard(e.pattern) {
-		return c
+// literal is the constant e holds, or the invalid value for any other
+// node.
+func literal(e sqlagg.Expr) value.Value {
+	if lit, ok := e.(*sqlagg.Literal); ok {
+		return lit.Val
 	}
-	// A wildcard-free pattern is an equality test.
-	switch e.f.name {
-	case "subjects":
-		c.Subs = oneStr(e.pattern)
-	case "publisher":
-		c.Pubs = oneStr(e.pattern)
-	}
-	return c
+	return value.Invalid()
 }
 
 func hasWildcard(pattern string) bool {
@@ -260,18 +288,6 @@ func hasWildcard(pattern string) bool {
 		}
 	}
 	return false
-}
-
-func (e *betweenExpr) cover() Cover {
-	c := topCover()
-	if e.f.name == "urgency" {
-		m := urgRange(e.lo.i, e.hi.i)
-		if e.neg {
-			m = urgAll &^ m
-		}
-		c.Urg = m
-	}
-	return c
 }
 
 // Signature is the compiled coarse routing form of a predicate: the
@@ -291,13 +307,13 @@ type Signature struct {
 	Urgencies  []int
 }
 
-// Compile lowers the predicate to its routing signature. The signature
-// is sound — it admits every item the exact evaluator can match — and
-// conservative: ranges over urgency enumerate the finite domain exactly,
-// while negations and wildcard patterns over string dimensions widen to
-// the dimension wildcard.
-func (p *Predicate) Compile() Signature {
-	c := p.expr.cover()
+// Compile lowers a predicate from Parse to its routing signature. The
+// signature is sound — it admits every item the exact evaluator can
+// match — and conservative: ranges over urgency enumerate the finite
+// domain exactly, while negations and wildcard patterns over string
+// dimensions widen to the dimension wildcard.
+func Compile(p *sqlagg.Predicate) Signature {
+	c := cover(p.Expr())
 	sig := Signature{
 		AnySubject:   c.Subs.top,
 		AnyPublisher: c.Pubs.top,

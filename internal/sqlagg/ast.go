@@ -2,6 +2,7 @@ package sqlagg
 
 import (
 	"strings"
+	"time"
 
 	"newswire/internal/value"
 )
@@ -16,23 +17,32 @@ type Expr interface {
 // ColumnRef references an attribute of the child-table row being evaluated.
 type ColumnRef struct {
 	Name string
+	Pos  int // byte offset in the source, for schema-check errors
 }
 
 func (c *ColumnRef) exprNode()      {}
 func (c *ColumnRef) String() string { return c.Name }
 
-// Literal is a constant value (number, string, or boolean).
+// Literal is a constant value: a number, string, or boolean, or a
+// timestamp that a schema check converted from a string literal.
 type Literal struct {
 	Val value.Value
+	Pos int // byte offset in the source, for schema-check errors
 }
 
 func (l *Literal) exprNode() {}
 func (l *Literal) String() string {
 	if s, ok := l.Val.AsString(); ok {
-		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+		return quote(s)
+	}
+	if t, ok := l.Val.AsTime(); ok {
+		return quote(t.Format(time.RFC3339Nano))
 	}
 	return l.Val.String()
 }
+
+// quote renders s as a SQL string literal, doubling embedded quotes.
+func quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
 // Unary is a prefix operator application: "-x" or "NOT x".
 type Unary struct {
@@ -76,6 +86,53 @@ func (c *Call) String() string {
 		parts[i] = a.String()
 	}
 	return c.Name + "(" + strings.Join(parts, ", ") + ")"
+}
+
+// In is "x [NOT] IN (a, b, ...)": true when x equals some list element.
+type In struct {
+	X    Expr
+	List []Expr
+	Not  bool
+}
+
+func (n *In) exprNode() {}
+func (n *In) String() string {
+	parts := make([]string, len(n.List))
+	for i, e := range n.List {
+		parts[i] = e.String()
+	}
+	return "(" + n.X.String() + notWord(n.Not) + "IN (" + strings.Join(parts, ", ") + "))"
+}
+
+// Like is "x [NOT] LIKE 'pattern'", the SQL pattern match: % matches any
+// run of bytes, _ exactly one.
+type Like struct {
+	X       Expr
+	Pattern string
+	Not     bool
+}
+
+func (n *Like) exprNode() {}
+func (n *Like) String() string {
+	return "(" + n.X.String() + notWord(n.Not) + "LIKE " + quote(n.Pattern) + ")"
+}
+
+// Between is "x [NOT] BETWEEN lo AND hi", inclusive at both ends.
+type Between struct {
+	X, Lo, Hi Expr
+	Not       bool
+}
+
+func (n *Between) exprNode() {}
+func (n *Between) String() string {
+	return "(" + n.X.String() + notWord(n.Not) + "BETWEEN " + n.Lo.String() + " AND " + n.Hi.String() + ")"
+}
+
+func notWord(not bool) string {
+	if not {
+		return " NOT "
+	}
+	return " "
 }
 
 // SelectItem is one output attribute of a program.
@@ -132,6 +189,17 @@ func containsAggregate(e Expr) bool {
 		return containsAggregate(n.X)
 	case *Binary:
 		return containsAggregate(n.L) || containsAggregate(n.R)
+	case *In:
+		for _, e := range n.List {
+			if containsAggregate(e) {
+				return true
+			}
+		}
+		return containsAggregate(n.X)
+	case *Like:
+		return containsAggregate(n.X)
+	case *Between:
+		return containsAggregate(n.X) || containsAggregate(n.Lo) || containsAggregate(n.Hi)
 	case *Call:
 		if _, ok := aggregates[n.Name]; ok {
 			return true

@@ -3,6 +3,7 @@ package sqlagg
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"newswire/internal/value"
 )
@@ -53,18 +54,6 @@ func (p *Program) EvalWhere(row value.Map) bool {
 	return evalScalar(p.Where, row).Truthy()
 }
 
-// EvalPredicate parses expr as a bare boolean expression and evaluates it
-// against one row. It is the entry point for subscription predicates and
-// publisher delivery predicates, which are expressions rather than full
-// SELECT programs.
-func EvalPredicate(expr string, row value.Map) (bool, error) {
-	pred, err := ParsePredicate(expr)
-	if err != nil {
-		return false, err
-	}
-	return pred.Eval(row), nil
-}
-
 // Predicate is a compiled boolean expression over a single row.
 type Predicate struct {
 	expr Expr
@@ -72,7 +61,12 @@ type Predicate struct {
 }
 
 // ParsePredicate compiles a bare boolean expression (no SELECT keyword).
-func ParsePredicate(src string) (*Predicate, error) {
+// With a nil schema the predicate is untyped, as aggregation WHERE
+// clauses and publisher dissemination predicates over zone attributes
+// are: any expression over any attribute, judged by truthiness. A
+// non-nil schema type-checks it and rewrites it into its typed form
+// (see Schema).
+func ParsePredicate(src string, schema Schema) (*Predicate, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -88,6 +82,12 @@ func ParsePredicate(src string) (*Predicate, error) {
 	if containsAggregate(e) {
 		return nil, &SyntaxError{Pos: 0, Msg: "aggregate function in predicate", Src: src}
 	}
+	if schema != nil {
+		c := &checker{schema: schema, src: src}
+		if e, err = c.boolean(e); err != nil {
+			return nil, err
+		}
+	}
 	return &Predicate{expr: e, src: src}, nil
 }
 
@@ -98,6 +98,10 @@ func (p *Predicate) Eval(row value.Map) bool {
 
 // Source returns the original predicate text.
 func (p *Predicate) Source() string { return p.src }
+
+// Expr returns the predicate's expression tree, in its type-checked form
+// when it was parsed against a schema. Callers must not modify it.
+func (p *Predicate) Expr() Expr { return p.expr }
 
 // String renders the predicate in normalized form.
 func (p *Predicate) String() string { return p.expr.String() }
@@ -152,6 +156,17 @@ func evalTop(e Expr, rows []value.Map) (value.Value, error) {
 		}
 		return spec.call(args), nil
 
+	case *In, *Like, *Between:
+		var err error
+		v := evalMatch(e, func(x Expr) value.Value {
+			v, xerr := evalTop(x, rows)
+			if err == nil {
+				err = xerr
+			}
+			return v
+		})
+		return v, err
+
 	default:
 		return value.Invalid(), fmt.Errorf("unknown expression node %T", e)
 	}
@@ -200,8 +215,102 @@ func evalScalar(e Expr, row value.Map) value.Value {
 		return spec.call(args)
 
 	default:
+		// IN, LIKE and BETWEEN live out of line so the node kinds that
+		// aggregation programs use keep the switch above to themselves.
+		return evalMatch(e, func(x Expr) value.Value { return evalScalar(x, row) })
+	}
+}
+
+// evalMatch evaluates an IN, LIKE or BETWEEN node, reading its operands
+// through ev. A string-list operand matches when any element does. An
+// invalid operand, or one the node cannot judge (LIKE on a non-string,
+// BETWEEN on unordered values), yields the invalid value, so a missing
+// attribute makes the atom false whether or not it is negated.
+func evalMatch(e Expr, ev func(Expr) value.Value) value.Value {
+	var x value.Value
+	var not, hit bool
+	switch n := e.(type) {
+	case *In:
+		x, not = ev(n.X), n.Not
+		elems, isList := x.RawStrings()
+		for _, el := range n.List {
+			v := ev(el)
+			if isList {
+				s, ok := v.AsString()
+				hit = ok && slices.Contains(elems, s)
+			} else {
+				hit = x.Equal(v)
+			}
+			if hit {
+				break
+			}
+		}
+	case *Like:
+		x, not = ev(n.X), n.Not
+		if elems, ok := x.RawStrings(); ok {
+			hit = slices.ContainsFunc(elems, func(s string) bool { return likeMatch(n.Pattern, s) })
+		} else if s, ok := x.AsString(); ok {
+			hit = likeMatch(n.Pattern, s)
+		} else {
+			return value.Invalid()
+		}
+	case *Between:
+		x, not = ev(n.X), n.Not
+		lo, hi := ev(n.Lo), ev(n.Hi)
+		between := func(v value.Value) (hit, ok bool) {
+			a, err1 := v.Compare(lo)
+			b, err2 := v.Compare(hi)
+			return a >= 0 && b <= 0, err1 == nil && err2 == nil
+		}
+		ok := true
+		if elems, isList := x.RawStrings(); isList {
+			for _, s := range elems {
+				if hit, ok = between(value.String(s)); hit || !ok {
+					break
+				}
+			}
+		} else {
+			hit, ok = between(x)
+		}
+		if !ok {
+			return value.Invalid()
+		}
+	default:
 		return value.Invalid()
 	}
+	if !x.IsValid() {
+		return value.Invalid()
+	}
+	return value.Bool(hit != not)
+}
+
+// likeMatch implements SQL LIKE: % matches any run (including empty), _
+// matches exactly one byte, everything else matches itself. Iterative
+// backtracking over the last %, the classic wildcard algorithm — linear
+// in practice, worst-case O(len(p)·len(s)).
+func likeMatch(pattern, s string) bool {
+	pi, si := 0, 0
+	star, mark := -1, 0
+	for si < len(s) {
+		switch {
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			pi++
+			si++
+		case pi < len(pattern) && pattern[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case star >= 0:
+			pi = star + 1
+			mark++
+			si = mark
+		default:
+			return false
+		}
+	}
+	for pi < len(pattern) && pattern[pi] == '%' {
+		pi++
+	}
+	return pi == len(pattern)
 }
 
 func applyUnary(op string, x value.Value) value.Value {

@@ -371,6 +371,8 @@ func TestPredicateEval(t *testing.T) {
 		"premium": value.Bool(true),
 		"region":  value.String("asia"),
 		"load":    value.Float(0.4),
+		"n":       value.Int(7),
+		"tags":    value.Strings([]string{"tech/linux", "world"}),
 	}
 	tests := []struct {
 		give string
@@ -384,19 +386,97 @@ func TestPredicateEval(t *testing.T) {
 		{"load > 0.5 OR region = 'asia'", true},
 		{"missing", false},
 		{"missing = 1", false},
+		{"region IN ('europe', 'asia')", true},
+		{"region NOT IN ('europe', 'asia')", false},
+		{"n IN (1, 7.0)", true},
+		{"n IN (n - 1, n + 1)", false},
+		{"region LIKE 'as%'", true},
+		{"region NOT LIKE 'as%'", false},
+		{"n BETWEEN 7 AND 9", true},
+		{"n NOT BETWEEN 7 AND 9", false},
+		{"load BETWEEN 0 AND 1 AND NOT region LIKE 'x'", true},
+		// A string list matches when any element does.
+		{"tags IN ('world')", true},
+		{"tags NOT IN ('world')", false},
+		{"tags LIKE 'tech/%'", true},
+		{"tags NOT LIKE 'sci/%'", true},
+		// A missing or unusable operand makes the atom false, negated or not.
+		{"missing IN (1)", false},
+		{"missing NOT IN (1)", false},
+		{"missing NOT LIKE 'x'", false},
+		{"missing NOT BETWEEN 1 AND 2", false},
+		{"n NOT LIKE 'x'", false},
+		{"region NOT BETWEEN 1 AND 2", false},
 	}
 	for _, tt := range tests {
-		got, err := EvalPredicate(tt.give, row)
+		pred, err := ParsePredicate(tt.give, nil)
 		if err != nil {
-			t.Errorf("EvalPredicate(%q): %v", tt.give, err)
+			t.Errorf("ParsePredicate(%q): %v", tt.give, err)
 			continue
 		}
-		if got != tt.want {
-			t.Errorf("EvalPredicate(%q) = %v, want %v", tt.give, got, tt.want)
+		if got := pred.Eval(row); got != tt.want {
+			t.Errorf("Eval(%q) = %v, want %v", tt.give, got, tt.want)
 		}
 	}
-	if _, err := EvalPredicate("bad syntax here(", row); err == nil {
-		t.Error("bad predicate should error")
+	for _, bad := range []string{
+		"bad syntax here(",
+		"region IN ()",
+		"region IN ('a',)",
+		"region LIKE 3",
+		"n BETWEEN 1 3",
+		"region NOT = 'a'",
+	} {
+		if _, err := ParsePredicate(bad, nil); err == nil {
+			t.Errorf("ParsePredicate(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+func TestMatchOperatorsInPrograms(t *testing.T) {
+	// The new atoms work in aggregation WHERE clauses, inside aggregates,
+	// and over aggregate results.
+	if v := evalOne(t, "SELECT COUNT(*) AS n WHERE name IN ('a', 'c')", table()); !v.Equal(value.Int(2)) {
+		t.Fatalf("COUNT WHERE IN = %v, want 2", v)
+	}
+	if v := evalOne(t, "SELECT BOOL_OR(addr LIKE 'd:%') AS x", table()); !v.Equal(value.Bool(true)) {
+		t.Fatalf("BOOL_OR(LIKE) = %v, want true", v)
+	}
+	if v := evalOne(t, "SELECT MIN(load) BETWEEN 0.1 AND 0.2 AS x", table()); !v.Equal(value.Bool(true)) {
+		t.Fatalf("MIN BETWEEN = %v, want true", v)
+	}
+	if _, err := Parse("SELECT MIN(x) IN (COUNT(y)) AS z"); err != nil {
+		t.Fatalf("aggregate inside a top-level IN list: %v", err)
+	}
+	if _, err := Parse("SELECT MIN(x IN (COUNT(y))) AS z"); err == nil {
+		t.Fatal("aggregate nested in an aggregate's IN list accepted")
+	}
+}
+
+func TestLikeMatch(t *testing.T) {
+	cases := []struct {
+		pattern, s string
+		want       bool
+	}{
+		{"", "", true},
+		{"%", "", true},
+		{"%", "anything", true},
+		{"a%", "abc", true},
+		{"%c", "abc", true},
+		{"a%c", "abc", true},
+		{"a%c", "ac", true},
+		{"a_c", "abc", true},
+		{"a_c", "ac", false},
+		{"a%b%c", "axxbyyc", true},
+		{"abc", "abc", true},
+		{"abc", "abd", false},
+		{"%world/%", "world/politics", true},
+		{"__", "ab", true},
+		{"__", "a", false},
+	}
+	for _, tc := range cases {
+		if got := likeMatch(tc.pattern, tc.s); got != tc.want {
+			t.Errorf("likeMatch(%q, %q) = %v, want %v", tc.pattern, tc.s, got, tc.want)
+		}
 	}
 }
 

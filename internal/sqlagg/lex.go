@@ -31,7 +31,7 @@ const (
 	tokNumber
 	tokString
 	tokOp      // punctuation and operators
-	tokKeyword // SELECT, AS, WHERE, AND, OR, NOT, TRUE, FALSE
+	tokKeyword // SELECT, AS, WHERE, AND, OR, NOT, TRUE, FALSE, IN, LIKE, BETWEEN
 )
 
 func (k tokenKind) String() string {
@@ -60,14 +60,17 @@ type token struct {
 }
 
 var keywords = map[string]bool{
-	"SELECT": true,
-	"AS":     true,
-	"WHERE":  true,
-	"AND":    true,
-	"OR":     true,
-	"NOT":    true,
-	"TRUE":   true,
-	"FALSE":  true,
+	"SELECT":  true,
+	"AS":      true,
+	"WHERE":   true,
+	"AND":     true,
+	"OR":      true,
+	"NOT":     true,
+	"TRUE":    true,
+	"FALSE":   true,
+	"IN":      true,
+	"LIKE":    true,
+	"BETWEEN": true,
 }
 
 // SyntaxError describes a lexical or parse failure with its position.

@@ -15,7 +15,10 @@ import (
 //	orExpr     = andExpr { "OR" andExpr }
 //	andExpr    = notExpr { "AND" notExpr }
 //	notExpr    = [ "NOT" ] cmpExpr
-//	cmpExpr    = addExpr [ cmpOp addExpr ]
+//	cmpExpr    = addExpr [ cmpOp addExpr
+//	                     | [ "NOT" ] "IN" "(" addExpr { "," addExpr } ")"
+//	                     | [ "NOT" ] "LIKE" string
+//	                     | [ "NOT" ] "BETWEEN" addExpr "AND" addExpr ]
 //	addExpr    = mulExpr { ("+"|"-") mulExpr }
 //	mulExpr    = unary { ("*"|"/"|"%") unary }
 //	unary      = [ "-" ] primary
@@ -216,6 +219,51 @@ func (p *parser) parseCmp() (Expr, error) {
 		}
 		return &Binary{Op: op, L: left, R: right}, nil
 	}
+	not := p.acceptKeyword("NOT")
+	switch {
+	case p.acceptKeyword("IN"):
+		if err := p.expectOp("("); err != nil {
+			return nil, err
+		}
+		in := &In{X: left, Not: not}
+		for {
+			e, err := p.parseAdd()
+			if err != nil {
+				return nil, err
+			}
+			in.List = append(in.List, e)
+			if !p.acceptOp(",") {
+				break
+			}
+		}
+		if err := p.expectOp(")"); err != nil {
+			return nil, err
+		}
+		return in, nil
+	case p.acceptKeyword("LIKE"):
+		t := p.cur()
+		if t.kind != tokString {
+			return nil, p.errorf("expected a string pattern after LIKE, found %s %q", t.kind, t.text)
+		}
+		p.advance()
+		return &Like{X: left, Pattern: t.text, Not: not}, nil
+	case p.acceptKeyword("BETWEEN"):
+		lo, err := p.parseAdd()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectKeyword("AND"); err != nil {
+			return nil, err
+		}
+		hi, err := p.parseAdd()
+		if err != nil {
+			return nil, err
+		}
+		return &Between{X: left, Lo: lo, Hi: hi, Not: not}, nil
+	case not:
+		t := p.cur()
+		return nil, p.errorf("expected IN, LIKE, or BETWEEN after NOT, found %s %q", t.kind, t.text)
+	}
 	return left, nil
 }
 
@@ -278,33 +326,33 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad float literal %q", t.text)
 			}
-			return &Literal{Val: value.Float(f)}, nil
+			return &Literal{Val: value.Float(f), Pos: t.pos}, nil
 		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad int literal %q", t.text)
 		}
-		return &Literal{Val: value.Int(i)}, nil
+		return &Literal{Val: value.Int(i), Pos: t.pos}, nil
 
 	case tokString:
 		p.advance()
-		return &Literal{Val: value.String(t.text)}, nil
+		return &Literal{Val: value.String(t.text), Pos: t.pos}, nil
 
 	case tokKeyword:
 		switch t.text {
 		case "TRUE":
 			p.advance()
-			return &Literal{Val: value.Bool(true)}, nil
+			return &Literal{Val: value.Bool(true), Pos: t.pos}, nil
 		case "FALSE":
 			p.advance()
-			return &Literal{Val: value.Bool(false)}, nil
+			return &Literal{Val: value.Bool(false), Pos: t.pos}, nil
 		}
 		return nil, p.errorf("unexpected keyword %q", t.text)
 
 	case tokIdent:
 		p.advance()
 		if !p.acceptOp("(") {
-			return &ColumnRef{Name: t.text}, nil
+			return &ColumnRef{Name: t.text, Pos: t.pos}, nil
 		}
 		name := strings.ToUpper(t.text)
 		call := &Call{Name: name}

@@ -1,11 +1,12 @@
 package sqlagg
 
 import (
+	"errors"
+	"strings"
+	"testing"
 	"testing/quick"
 
 	"newswire/internal/value"
-	"strings"
-	"testing"
 )
 
 func TestParseValidPrograms(t *testing.T) {
@@ -156,20 +157,20 @@ func TestParseStringEscapes(t *testing.T) {
 }
 
 func TestParsePredicate(t *testing.T) {
-	pred, err := ParsePredicate("premium AND region = 'asia'")
+	pred, err := ParsePredicate("premium AND region = 'asia'", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pred.Source() == "" || pred.String() == "" {
 		t.Fatal("predicate lost its source text")
 	}
-	if _, err := ParsePredicate("COUNT(*) > 1"); err == nil {
+	if _, err := ParsePredicate("COUNT(*) > 1", nil); err == nil {
 		t.Fatal("aggregate in predicate should be rejected")
 	}
-	if _, err := ParsePredicate("a b"); err == nil {
+	if _, err := ParsePredicate("a b", nil); err == nil {
 		t.Fatal("trailing input should be rejected")
 	}
-	if _, err := ParsePredicate("(("); err == nil {
+	if _, err := ParsePredicate("((", nil); err == nil {
 		t.Fatal("unbalanced parens should be rejected")
 	}
 }
@@ -225,7 +226,7 @@ func TestQuickParseRobustness(t *testing.T) {
 func TestQuickPredicateRobustness(t *testing.T) {
 	row := value.Map{"a": value.Int(1), "s": value.String("x")}
 	f := func(src string) bool {
-		pred, err := ParsePredicate(src)
+		pred, err := ParsePredicate(src, nil)
 		if err != nil {
 			return true
 		}
@@ -234,5 +235,38 @@ func TestQuickPredicateRobustness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParsePredicateSchema(t *testing.T) {
+	schema := Schema{
+		"n":    {Name: "n", Type: TypeInt},
+		"tags": {Name: "tags", Type: TypeStrings},
+		"tag":  {Name: "tags", Type: TypeStrings},
+	}
+	// Names resolve case-insensitively and through aliases; equality on
+	// a string set becomes IN.
+	p, err := ParsePredicate("N >= 2 AND Tag = 'x'", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.String(), "((n >= 2) AND (tags IN ('x')))"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if !p.Eval(value.Map{"n": value.Int(2), "tags": value.Strings([]string{"y", "x"})}) {
+		t.Fatal("typed predicate rejected a matching row")
+	}
+	for _, bad := range []string{
+		"m = 1", "n = 'x'", "n = 1.5", "tags < 'x'", "n LIKE 'x'",
+		"tags BETWEEN 'a' AND 'b'", "n + 1 = 2", "n = n", "n", "ABS(n) = 1", "1",
+	} {
+		_, err := ParsePredicate(bad, schema)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("ParsePredicate(%q) = %v, want *SyntaxError", bad, err)
+		}
+	}
+	if _, err := ParsePredicate("m = 1", schema); err == nil || !strings.Contains(err.Error(), "fields: n, tags") {
+		t.Errorf("unknown-field error should list the fields, got %v", err)
 	}
 }

@@ -217,8 +217,12 @@ func (v Value) Truthy() bool {
 }
 
 // Equal reports deep equality of two values, including kind. Numeric values
-// of different kinds compare equal when they represent the same number.
+// of different kinds compare equal when they represent the same number;
+// two ints compare exactly, without the float64 rounding past 2^53.
 func (v Value) Equal(o Value) bool {
+	if v.kind == KindInt && o.kind == KindInt {
+		return v.i == o.i
+	}
 	if v.IsNumeric() && o.IsNumeric() {
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()
@@ -254,9 +258,19 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Compare orders v against o. It returns -1, 0, or +1. Values of mixed
-// numeric kinds compare numerically. Comparing other mixed kinds or
-// unordered kinds returns an error.
+// numeric kinds compare numerically; two ints compare exactly. Comparing
+// other mixed kinds or unordered kinds returns an error.
 func (v Value) Compare(o Value) (int, error) {
+	if v.kind == KindInt && o.kind == KindInt {
+		switch {
+		case v.i < o.i:
+			return -1, nil
+		case v.i > o.i:
+			return 1, nil
+		default:
+			return 0, nil
+		}
+	}
 	if v.IsNumeric() && o.IsNumeric() {
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()

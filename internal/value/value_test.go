@@ -160,6 +160,21 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+func TestIntCompareExactPast2to53(t *testing.T) {
+	// 2^53+1 has no float64 representation; converting both sides to
+	// float64 would make these two distinct ints compare equal.
+	a, b := Int(1<<53+1), Int(1<<53)
+	if a.Equal(b) {
+		t.Error("Int(2^53+1) should not equal Int(2^53)")
+	}
+	if c, err := a.Compare(b); err != nil || c != 1 {
+		t.Errorf("Int(2^53+1).Compare(Int(2^53)) = %d, %v; want 1", c, err)
+	}
+	if c, err := b.Compare(a); err != nil || c != -1 {
+		t.Errorf("Int(2^53).Compare(Int(2^53+1)) = %d, %v; want -1", c, err)
+	}
+}
+
 func TestCompare(t *testing.T) {
 	cmp := func(a, b Value) int {
 		t.Helper()
