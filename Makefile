@@ -8,7 +8,7 @@ SHELL := bash
 
 GO ?= go
 
-.PHONY: all build test vet race fmt-check lint smoke bench bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
+.PHONY: all build test test-1cpu vet race fmt-check lint smoke bench bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
 
 all: build vet test
 
@@ -20,6 +20,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The whole suite on one scheduler thread: surfaces tests that only pass
+# when their goroutines get a core of their own.
+test-1cpu:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
 
 race:
 	$(GO) test -race ./...

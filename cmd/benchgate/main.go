@@ -138,12 +138,19 @@ type obsArm struct {
 }
 
 type e11Arm struct {
-	Label               string  `json:"label"`
-	SyncWrites          bool    `json:"sync_writes"`
-	SustainedMsgsPerSec float64 `json:"sustained_msgs_per_sec"`
-	CleanP99Ms          float64 `json:"clean_p99_ms"`
-	TotalDrops          int64   `json:"total_drops"`
-	TotalCorrupt        int64   `json:"total_corrupt"`
+	Label               string    `json:"label"`
+	SyncWrites          bool      `json:"sync_writes"`
+	SustainedMsgsPerSec float64   `json:"sustained_msgs_per_sec"`
+	CleanP99Ms          float64   `json:"clean_p99_ms"`
+	TotalDrops          int64     `json:"total_drops"`
+	TotalCorrupt        int64     `json:"total_corrupt"`
+	Steps               []e11Step `json:"steps"`
+}
+
+type e11Step struct {
+	TargetItemsPerSec int   `json:"target_items_per_sec"`
+	OfferedFrames     int64 `json:"offered_frames"`
+	DeliveredFrames   int64 `json:"delivered_frames"`
 }
 
 type e11Verify struct {
@@ -459,10 +466,11 @@ func gateE8(baselinePath string, base, cur benchArtifact, minRecall, maxFPRatio,
 }
 
 // gateE11 enforces the live-transport hard bounds on the current
-// artifact: zero frame corruption everywhere (load arms and the
-// both-codec verification phase), a sustained-throughput floor and a
-// clean-p99 ceiling on the asynchronous arm, and optionally the
-// async/sync speedup ratio. Throughput deltas against the baseline are
+// artifact: zero frame corruption everywhere (load arms and every
+// verification row), exact frame accounting (no step delivers more
+// frames than it offered; every verified frame decoded), a
+// sustained-throughput floor and a clean-p99 ceiling on the asynchronous
+// arm, and optionally the async/sync speedup ratio. Throughput deltas against the baseline are
 // reported but never gated — wall-clock socket numbers are too
 // machine-dependent for a fractional regression bound; the floor is the
 // contract.
@@ -485,6 +493,12 @@ func gateE11(baselinePath string, base, cur benchArtifact, minMsgsSec, maxP99, m
 			a.Label, a.SustainedMsgsPerSec, delta, a.CleanP99Ms, a.TotalDrops, a.TotalCorrupt)
 		if a.TotalCorrupt != 0 {
 			problems = append(problems, fmt.Sprintf("arm %s saw %d corrupt frames", a.Label, a.TotalCorrupt))
+		}
+		for _, st := range a.Steps {
+			if st.DeliveredFrames > st.OfferedFrames {
+				problems = append(problems, fmt.Sprintf("arm %s rate %d delivered %d frames > offered %d",
+					a.Label, st.TargetItemsPerSec, st.DeliveredFrames, st.OfferedFrames))
+			}
 		}
 		if a.SyncWrites {
 			continue // floors apply to the default path, not the ablation

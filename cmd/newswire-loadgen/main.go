@@ -21,8 +21,8 @@
 //
 // The sink cheaply validates framing on every frame and fully decodes
 // every -decode-every'th one (checksum + delivery latency); a separate
-// moderate-rate verification phase decodes every frame under both wire
-// codecs, which is where the zero-corruption figure comes from.
+// moderate-rate verification phase decodes every frame, which is where
+// the zero-corruption figure comes from.
 //
 // Latency percentiles are clock-offset corrected: before each arm the
 // sink runs the transport's NTP-style ping/pong handshake against the
@@ -66,6 +66,10 @@ import (
 )
 
 const maxFrame = 16 << 20
+
+// drainTimeout bounds how long a step waits for its in-flight frames to
+// reach the sink before it is measured.
+const drainTimeout = 10 * time.Second
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -296,18 +300,13 @@ func loadgen(o options) error {
 	}
 
 	if o.verifyItems > 0 {
-		for _, codec := range []struct {
-			name string
-			gob  bool
-		}{{"binary", false}, {"gob", true}} {
-			vr, err := runVerify(o, sink, addrs, codec.name, codec.gob)
-			if err != nil {
-				return fmt.Errorf("verify %s: %w", codec.name, err)
-			}
-			o.log.Info("verify", "codec", vr.Codec,
-				"frames", vr.Frames, "decoded", vr.Decoded, "corrupt", vr.Corrupt)
-			rep.Verify = append(rep.Verify, vr)
+		vr, err := runVerify(o, sink, addrs)
+		if err != nil {
+			return fmt.Errorf("verify: %w", err)
 		}
+		o.log.Info("verify", "codec", vr.Codec,
+			"frames", vr.Frames, "decoded", vr.Decoded, "corrupt", vr.Corrupt)
+		rep.Verify = append(rep.Verify, vr)
 	}
 
 	rep.WallSeconds = time.Since(start).Seconds()
@@ -355,7 +354,13 @@ func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites 
 	defer tr.Close()
 
 	// Warm-up: one frame to every subscriber establishes all connections
-	// before any step is timed.
+	// before any step is timed. Wait for the frames, not just the
+	// connections: a warm-up frame still in flight would otherwise be
+	// counted as delivered in the first step.
+	warmSnap, err := sink.snap()
+	if err != nil {
+		return res, err
+	}
 	warm := buildItem(0, o.payload)
 	wf, err := tr.NewFrame(warm)
 	if err != nil {
@@ -366,8 +371,8 @@ func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites 
 			return res, fmt.Errorf("warm-up dial %s: %w", addr, err)
 		}
 	}
-	if err := sink.waitConns(len(addrs), 60*time.Second); err != nil {
-		return res, err
+	if err := sink.waitFrames(warmSnap.Frames+int64(len(addrs)), 60*time.Second); err != nil {
+		return res, fmt.Errorf("warm-up: %w", err)
 	}
 	// Clock-offset handshake before anything is timed: the sink probes the
 	// hub and corrects every latency sample it takes this arm.
@@ -418,25 +423,34 @@ func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites 
 				next = time.Now() // behind schedule: don't accumulate debt
 			}
 		}
-		// Let in-flight queues drain before measuring the step.
+		// Let in-flight queues drain before measuring the step: wait
+		// (bounded) until every frame the hub did not drop has reached the
+		// sink, so a slow tail is charged to this step, not the next.
 		time.Sleep(300 * time.Millisecond)
+		postStats := tr.TransportStats()
+		offered := published * int64(len(addrs))
+		drops := (postStats.QueueFullDrops + postStats.ConnDrops) -
+			(preStats.QueueFullDrops + preStats.ConnDrops)
+		if _, err := sink.waitSnap(drainTimeout, func(sn sinkSnap) bool {
+			return sn.Frames-preSnap.Frames >= offered-drops
+		}); err != nil {
+			return res, err
+		}
 		wall := time.Since(stepStart).Seconds()
 
 		postSnap, err := sink.snap()
 		if err != nil {
 			return res, err
 		}
-		postStats := tr.TransportStats()
 		st := stepResult{
 			TargetItemsPerSec: rate,
 			PublishedItems:    published,
-			OfferedFrames:     published * int64(len(addrs)),
+			OfferedFrames:     offered,
 			DeliveredFrames:   postSnap.Frames - preSnap.Frames,
 			P50Ms:             postSnap.P50Ms,
 			P99Ms:             postSnap.P99Ms,
-			Drops: (postStats.QueueFullDrops + postStats.ConnDrops) -
-				(preStats.QueueFullDrops + preStats.ConnDrops),
-			Corrupt: postSnap.Corrupt - preSnap.Corrupt,
+			Drops:             drops,
+			Corrupt:           postSnap.Corrupt - preSnap.Corrupt,
 		}
 		st.MsgsPerSec = float64(st.DeliveredFrames) / wall
 		st.BytesPerSec = float64(postSnap.Bytes-preSnap.Bytes) / wall
@@ -481,13 +495,11 @@ func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites 
 	return res, sink.waitConns(0, 30*time.Second)
 }
 
-// runVerify publishes a moderate full-decode workload under one codec to
-// a subset of subscribers: every frame is decoded and checksummed, which
-// is where the zero-corruption claim is measured.
-func runVerify(o options, sink *sinkProc, addrs []string, codec string, gob bool) (verifyResult, error) {
-	res := verifyResult{Codec: codec}
-	wire.SetGobFallback(gob)
-	defer wire.SetGobFallback(false)
+// runVerify publishes a moderate full-decode workload to a subset of
+// subscribers: every frame is decoded and checksummed, which is where the
+// zero-corruption claim is measured.
+func runVerify(o options, sink *sinkProc, addrs []string) (verifyResult, error) {
+	res := verifyResult{Codec: "binary"}
 	if err := sink.mode("full"); err != nil {
 		return res, err
 	}
@@ -523,21 +535,14 @@ func runVerify(o options, sink *sinkProc, addrs []string, codec string, gob bool
 		time.Sleep(2 * time.Millisecond) // moderate rate: no queue overflow
 	}
 	// Wait on frames judged (decoded or corrupt), not frames read: the
-	// sink counts a frame before decoding it, and counts a gob clock
-	// frame until its decode uncounts it, so Frames can reach want while
-	// decodes are still in flight.
+	// sink counts a frame before decoding it, so Frames can reach want
+	// while decodes are still in flight.
 	want := int64(o.verifyItems) * int64(len(addrs))
-	deadline := time.Now().Add(30 * time.Second)
-	var post sinkSnap
-	for {
-		if post, err = sink.snap(); err != nil {
-			return res, err
-		}
-		judged := post.Decoded + post.Corrupt - pre.Decoded - pre.Corrupt
-		if judged >= want || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
+	post, err := sink.waitSnap(30*time.Second, func(sn sinkSnap) bool {
+		return sn.Decoded+sn.Corrupt-pre.Decoded-pre.Corrupt >= want
+	})
+	if err != nil {
+		return res, err
 	}
 	res.Frames = post.Frames - pre.Frames
 	res.Decoded = post.Decoded - pre.Decoded
@@ -627,9 +632,17 @@ func startSink(decodeEvery int) (*sinkProc, error) {
 	return s, nil
 }
 
-func (s *sinkProc) snap() (sinkSnap, error) {
+// snap reads the sink's counters and closes its latency interval: the
+// percentiles cover the samples since the previous snap.
+func (s *sinkProc) snap() (sinkSnap, error) { return s.query("SNAP") }
+
+// peek reads the sink's counters without closing the latency interval,
+// so a wait loop can poll mid-step.
+func (s *sinkProc) peek() (sinkSnap, error) { return s.query("PEEK") }
+
+func (s *sinkProc) query(cmd string) (sinkSnap, error) {
 	var snap sinkSnap
-	if _, err := fmt.Fprintln(s.in, "SNAP"); err != nil {
+	if _, err := fmt.Fprintln(s.in, cmd); err != nil {
 		return snap, err
 	}
 	if !s.out.Scan() {
@@ -666,17 +679,31 @@ func (s *sinkProc) clockSync(addr string) (offsetNs, rttNs int64, err error) {
 }
 
 func (s *sinkProc) waitConns(want int, timeout time.Duration) error {
+	snap, err := s.waitSnap(timeout, func(sn sinkSnap) bool { return sn.Conns == int64(want) })
+	if err == nil && snap.Conns != int64(want) {
+		err = fmt.Errorf("sink has %d connections, want %d", snap.Conns, want)
+	}
+	return err
+}
+
+// waitFrames waits until the sink has counted at least want frames in
+// total.
+func (s *sinkProc) waitFrames(want int64, timeout time.Duration) error {
+	snap, err := s.waitSnap(timeout, func(sn sinkSnap) bool { return sn.Frames >= want })
+	if err == nil && snap.Frames < want {
+		err = fmt.Errorf("sink counted %d frames, want %d", snap.Frames, want)
+	}
+	return err
+}
+
+// waitSnap polls the sink until done accepts a snapshot or timeout
+// passes, returning the last snapshot either way.
+func (s *sinkProc) waitSnap(timeout time.Duration, done func(sinkSnap) bool) (sinkSnap, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		snap, err := s.snap()
-		if err != nil {
-			return err
-		}
-		if snap.Conns == int64(want) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("sink has %d connections, want %d", snap.Conns, want)
+		snap, err := s.peek()
+		if err != nil || done(snap) || time.Now().After(deadline) {
+			return snap, err
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -809,7 +836,7 @@ func sinkMain(decodeEvery int) error {
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		switch line := sc.Text(); {
-		case line == "SNAP":
+		case line == "SNAP" || line == "PEEK":
 			snap := sinkSnap{
 				Frames:  s.frames.Load(),
 				Bytes:   s.bytes.Load(),
@@ -821,7 +848,9 @@ func sinkMain(decodeEvery int) error {
 				snap.P50Ms = s.lat.Quantile(0.50) * 1000
 				snap.P99Ms = s.lat.Quantile(0.99) * 1000
 			}
-			s.lat.Reset() // percentiles are per snapshot interval
+			if line == "SNAP" {
+				s.lat.Reset() // percentiles are per snapshot interval
+			}
 			b, err := json.Marshal(&snap)
 			if err != nil {
 				return err
@@ -873,8 +902,7 @@ func (s *sinkState) readConn(c net.Conn) {
 			return
 		}
 		// Transport-internal clock-sync frames ride the same sockets; keep
-		// them out of the delivery accounting. (The sniff covers the binary
-		// codec; gob-fallback clock frames are caught in verify instead.)
+		// them out of the delivery accounting.
 		if k, ok := wire.SniffKind(b); ok && (k == wire.KindClockPing || k == wire.KindClockPong) {
 			if k == wire.KindClockPong {
 				if msg, err := wire.Decode(b); err == nil {
@@ -899,16 +927,6 @@ func (s *sinkState) verify(b []byte) {
 	msg, err := wire.Decode(b)
 	if err != nil {
 		s.corrupt.Add(1)
-		return
-	}
-	switch msg.Kind {
-	case wire.KindClockPing, wire.KindClockPong:
-		// A gob-encoded clock frame slipped past the binary-codec sniff:
-		// uncount it rather than calling it corruption.
-		if msg.Kind == wire.KindClockPong {
-			s.handleClockPong(msg.ClockSync)
-		}
-		s.frames.Add(-1)
 		return
 	}
 	if msg.Kind != wire.KindMulticast || msg.Multicast == nil {

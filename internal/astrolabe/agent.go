@@ -145,7 +145,7 @@ type PrefixRule struct {
 }
 
 // msgOverhead mirrors the fixed per-message envelope cost wire's
-// EstimateSize charges for row-bearing gossip kinds — magic, kind, the
+// EstimateSize charges for row-bearing gossip kinds — version, kind, the
 // From-address and zone-ref framing bytes, and the interned-table
 // allowance — excluding the From address itself, which the transport
 // stamps at send time. (Assumes addresses shorter than 128 bytes, so

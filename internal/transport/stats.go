@@ -15,6 +15,10 @@ type Stats struct {
 	// cleanly and were handed to the handler.
 	FramesReceived int64 `json:"frames_received"`
 	BytesReceived  int64 `json:"bytes_received"`
+	// FramesRejected counts inbound frames that were oversized or failed
+	// to decode (an unknown format-version byte included); each one
+	// closes the connection it arrived on.
+	FramesRejected int64 `json:"frames_rejected"`
 	// Dials counts outbound connection attempts; DialErrors the failures.
 	Dials      int64 `json:"dials"`
 	DialErrors int64 `json:"dial_errors"`
@@ -42,6 +46,7 @@ type tcpStats struct {
 	bytesSent      atomic.Int64
 	framesReceived atomic.Int64
 	bytesReceived  atomic.Int64
+	framesRejected atomic.Int64
 	dials          atomic.Int64
 	dialErrors     atomic.Int64
 	staleRetries   atomic.Int64
@@ -68,6 +73,7 @@ func (s *tcpStats) snapshot() Stats {
 		BytesSent:      s.bytesSent.Load(),
 		FramesReceived: s.framesReceived.Load(),
 		BytesReceived:  s.bytesReceived.Load(),
+		FramesRejected: s.framesRejected.Load(),
 		Dials:          s.dials.Load(),
 		DialErrors:     s.dialErrors.Load(),
 		StaleRetries:   s.staleRetries.Load(),

@@ -268,6 +268,7 @@ func (t *TCP) FillMetrics(reg *metrics.Registry) {
 	reg.Counter("transport_bytes_sent").SyncTo(s.BytesSent)
 	reg.Counter("transport_frames_received").SyncTo(s.FramesReceived)
 	reg.Counter("transport_bytes_received").SyncTo(s.BytesReceived)
+	reg.Counter("transport_frames_rejected_total").SyncTo(s.FramesRejected)
 	reg.Counter("transport_dials").SyncTo(s.Dials)
 	reg.Counter("transport_dial_errors").SyncTo(s.DialErrors)
 	reg.Counter("transport_stale_retries").SyncTo(s.StaleRetries)
@@ -619,6 +620,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		size := binary.BigEndian.Uint32(hdr[:])
 		if size > maxFrame {
+			t.st.framesRejected.Add(1)
 			return
 		}
 		// Pooled receive buffer: Decode copies everything out, so the
@@ -632,6 +634,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		PutBuf(data)
 		if err != nil {
 			// Malformed frame: drop the connection, not the process.
+			t.st.framesRejected.Add(1)
 			return
 		}
 		t.st.framesReceived.Add(1)

@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"encoding/binary"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"newswire/internal/metrics"
 	"newswire/internal/value"
 	"newswire/internal/wire"
 )
@@ -279,6 +282,57 @@ func TestTCPRejectsOversizedMessage(t *testing.T) {
 	}
 }
 
+// TestTCPRejectsUnknownVersionByte writes a well-formed length-prefixed
+// frame whose payload does not start with the codec's version byte (what
+// a peer on an older wire format would send): the receiver must close
+// the connection and count the frame as rejected.
+func TestTCPRejectsUnknownVersionByte(t *testing.T) {
+	b, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {
+		t.Error("rejected frame reached the handler")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	f, err := wire.NewFrame(gossipMsg("/x"), "old-peer:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte(nil), f.Bytes()...)
+	frame[wire.FramePrefixLen] = 0x2A
+	if binary.BigEndian.Uint32(frame) != uint32(f.PayloadLen()) {
+		t.Fatal("test frame lost its length prefix")
+	}
+
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("receiver sent data instead of closing the connection")
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("receiver kept the connection open after a bad version byte")
+	}
+
+	if got := b.TransportStats().FramesRejected; got != 1 {
+		t.Fatalf("FramesRejected = %d, want 1", got)
+	}
+	if got := b.TransportStats().FramesReceived; got != 0 {
+		t.Fatalf("FramesReceived = %d, want 0", got)
+	}
+	reg := metrics.NewRegistry()
+	b.FillMetrics(reg)
+	if got := reg.Counter("transport_frames_rejected_total").Value(); got != 1 {
+		t.Fatalf("transport_frames_rejected_total = %d, want 1", got)
+	}
+}
+
 func TestTCPCloseWhilePeerHoldsConnection(t *testing.T) {
 	// Regression for the shutdown deadlock: Close must terminate read
 	// goroutines on inbound connections whose peers are still up.
@@ -435,69 +489,59 @@ func allKindMessages() []*wire.Message {
 }
 
 // TestTCPAllKindsBothCodecs pushes one message of every kind through a
-// real TCP connection under the binary codec and again under the gob
-// fallback, checking the payloads survive either wire format. The
-// receiver auto-detects the codec per frame, so a mixed cluster keeps
-// interoperating during the transition release.
+// real TCP connection and checks the payloads survive the wire format.
+// The binary codec is now the only one; the gob arm that gave the test
+// its name was removed with the gob codec.
 func TestTCPAllKindsBothCodecs(t *testing.T) {
-	for _, gobWire := range []bool{false, true} {
-		name := "binary"
-		if gobWire {
-			name = "gob-fallback"
+	t.Run("binary", func(t *testing.T) {
+		col := newCollector()
+		b, err := ListenTCP("127.0.0.1:0", col.handle)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			wire.SetGobFallback(gobWire)
-			defer wire.SetGobFallback(false)
+		defer b.Close()
+		a, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
 
-			col := newCollector()
-			b, err := ListenTCP("127.0.0.1:0", col.handle)
-			if err != nil {
-				t.Fatal(err)
+		sent := allKindMessages()
+		for _, m := range sent {
+			if err := a.Send(b.Addr(), m); err != nil {
+				t.Fatalf("send %v: %v", m.Kind, err)
 			}
-			defer b.Close()
-			a, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {})
-			if err != nil {
-				t.Fatal(err)
+		}
+		got := col.waitFor(t, len(sent))
+		for i, m := range got {
+			if m.Kind != sent[i].Kind {
+				t.Fatalf("message %d arrived as %v, want %v", i, m.Kind, sent[i].Kind)
 			}
-			defer a.Close()
-
-			sent := allKindMessages()
-			for _, m := range sent {
-				if err := a.Send(b.Addr(), m); err != nil {
-					t.Fatalf("send %v: %v", m.Kind, err)
-				}
-			}
-			got := col.waitFor(t, len(sent))
-			for i, m := range got {
-				if m.Kind != sent[i].Kind {
-					t.Fatalf("message %d arrived as %v, want %v", i, m.Kind, sent[i].Kind)
-				}
-			}
-			// Spot-check deep payload fields survived the round trip.
-			if rows := got[0].Gossip.Rows; len(rows) != 1 ||
-				!rows[0].Attrs.Equal(sent[0].Gossip.Rows[0].Attrs) {
-				t.Fatalf("gossip row attrs corrupted: %+v", rows)
-			}
-			if d := got[2].GossipDigest.Digests[0]; d.Hash != 0xdeadbeef {
-				t.Fatalf("digest hash = %x", d.Hash)
-			}
-			if w := got[3].GossipDelta.Want; len(w) != 1 || w[0].Name != "asia" {
-				t.Fatalf("delta want corrupted: %+v", w)
-			}
-			env := got[4].Multicast.Envelope
-			if env.Key() != "reuters/item-42#1" || string(env.Payload) != "<nitf/>" {
-				t.Fatalf("multicast envelope corrupted: %+v", env)
-			}
-			if got[5].MulticastAck.Seq != 7 {
-				t.Fatalf("ack seq = %d", got[5].MulticastAck.Seq)
-			}
-			if got[6].StateRequest.MaxItems != 64 {
-				t.Fatalf("state request corrupted: %+v", got[6].StateRequest)
-			}
-			sr := got[7].StateReply
-			if !sr.Truncated || len(sr.Envelopes) != 1 || sr.Envelopes[0].ItemID != "it-1" {
-				t.Fatalf("state reply corrupted: %+v", sr)
-			}
-		})
-	}
+		}
+		// Spot-check deep payload fields survived the round trip.
+		if rows := got[0].Gossip.Rows; len(rows) != 1 ||
+			!rows[0].Attrs.Equal(sent[0].Gossip.Rows[0].Attrs) {
+			t.Fatalf("gossip row attrs corrupted: %+v", rows)
+		}
+		if d := got[2].GossipDigest.Digests[0]; d.Hash != 0xdeadbeef {
+			t.Fatalf("digest hash = %x", d.Hash)
+		}
+		if w := got[3].GossipDelta.Want; len(w) != 1 || w[0].Name != "asia" {
+			t.Fatalf("delta want corrupted: %+v", w)
+		}
+		env := got[4].Multicast.Envelope
+		if env.Key() != "reuters/item-42#1" || string(env.Payload) != "<nitf/>" {
+			t.Fatalf("multicast envelope corrupted: %+v", env)
+		}
+		if got[5].MulticastAck.Seq != 7 {
+			t.Fatalf("ack seq = %d", got[5].MulticastAck.Seq)
+		}
+		if got[6].StateRequest.MaxItems != 64 {
+			t.Fatalf("state request corrupted: %+v", got[6].StateRequest)
+		}
+		sr := got[7].StateReply
+		if !sr.Truncated || len(sr.Envelopes) != 1 || sr.Envelopes[0].ItemID != "it-1" {
+			t.Fatalf("state reply corrupted: %+v", sr)
+		}
+	})
 }

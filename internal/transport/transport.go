@@ -3,7 +3,7 @@
 // Two implementations exist: the discrete-event simulated network in
 // internal/sim (virtual time, configurable latency/loss/partitions, scales
 // to ~10⁵ nodes in one process) and the TCP transport in this package
-// (length-prefixed gob frames, for live multi-process clusters). Protocol
+// (length-prefixed binary-codec frames, for live multi-process clusters). Protocol
 // code sees only this interface, so the same agent runs unchanged in both
 // worlds.
 package transport

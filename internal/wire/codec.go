@@ -13,22 +13,22 @@ import (
 
 // Binary wire codec (DESIGN.md §8).
 //
-// Layout: every frame starts with codecMagic and the kind byte, then the
-// sender address, then — for the four gossip kinds — an interned string
-// table holding each distinct zone path and attribute name once, then the
-// kind's payload. Payload fields reference table entries by index, so a
-// 64-row gossip exchange carries "/usa/ny" and "subs" one time each
-// instead of 64. Integers travel as varints, times as Unix seconds +
-// nanoseconds, and byte-array attribute values (the dominant row weight:
-// 128-byte subscription Bloom filters that are mostly zero) switch to a
-// zero-run packing whenever that is smaller than the raw bytes.
+// Layout: every frame starts with the format-version byte and the kind
+// byte, then the sender address, then — for the four gossip kinds — an
+// interned string table holding each distinct zone path and attribute
+// name once, then the kind's payload. Payload fields reference table
+// entries by index, so a 64-row gossip exchange carries "/usa/ny" and
+// "subs" one time each instead of 64. Integers travel as varints, times
+// as Unix seconds + nanoseconds, and byte-array attribute values (the
+// dominant row weight: 128-byte subscription Bloom filters that are
+// mostly zero) switch to a zero-run packing whenever that is smaller
+// than the raw bytes.
 //
-// The first byte disambiguates against the legacy gob codec: a gob stream
-// begins with a small uvarint segment length (< 0x80) or a byte-count
-// marker (>= 0xF8), never 0xB7, so Decode can route old frames to gob for
-// the one-release fallback window (SetGobFallback).
+// The first byte, formatVersion, names the layout: Decode rejects a
+// payload that starts with anything else, and a future incompatible
+// layout takes a new value.
 const (
-	codecMagic     = 0xB7
+	formatVersion  = 0xB7
 	packedBytesTag = 0xF0 // distinct from every value.Kind byte
 	// minZeroRun is the shortest zero run worth breaking a literal for:
 	// each run pair costs two framing bytes.
@@ -44,13 +44,12 @@ const (
 const zeroTimeUnixSec = -62135596800
 
 // SniffKind reports a binary-codec frame payload's kind without decoding
-// it: the codec leads every frame with its magic byte and the kind. It
-// returns false for gob-fallback frames (which never start with the
-// magic), so callers that must classify those still need a full Decode.
+// it: the codec leads every frame with its version byte and the kind. It
+// returns false for payloads with any other version byte.
 // Raw-socket consumers (the loadgen sink) use it to separate
 // transport-internal clock-sync frames from the news stream cheaply.
 func SniffKind(payload []byte) (Kind, bool) {
-	if len(payload) < 2 || payload[0] != codecMagic {
+	if len(payload) < 2 || payload[0] != formatVersion {
 		return KindInvalid, false
 	}
 	k := Kind(payload[1])
@@ -244,13 +243,16 @@ func packedBytesSize(raw []byte) int {
 // --- encoder ---
 
 type binEncoder struct {
-	head    []byte // magic, kind, from, string table
+	head    []byte // version, kind, from, string table
 	body    []byte // payload, encoded against the table
 	keys    []string
 	tblList []string
 	tblIdx  map[string]uint32
 }
 
+// binEncPool recycles encoder scratch: gossip messages at the paper's
+// 64-row table size encode to tens of KB, and without pooling every frame
+// would re-grow fresh buffers through several doublings.
 var binEncPool = sync.Pool{
 	New: func() any { return &binEncoder{tblIdx: make(map[string]uint32, 16)} },
 }
@@ -263,6 +265,10 @@ func (e *binEncoder) reset() {
 	}
 	e.tblList = e.tblList[:0]
 }
+
+// maxPooledBuf caps the scratch buffers returned to binEncPool so one
+// huge state transfer does not pin its worth of memory forever.
+const maxPooledBuf = 1 << 20
 
 func (e *binEncoder) release() {
 	if cap(e.head) > maxPooledBuf {
@@ -389,7 +395,7 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 		// Unknown kind: emit no payload; Decode rejects the frame.
 	}
 
-	e.head = append(e.head, codecMagic, byte(m.Kind))
+	e.head = append(e.head, formatVersion, byte(m.Kind))
 	e.head = appendString(e.head, from)
 	if usesTable {
 		e.head = binary.AppendUvarint(e.head, uint64(len(e.tblList)))
@@ -795,7 +801,7 @@ func (d *binDecoder) envelope(env *ItemEnvelope) {
 }
 
 func decodeBinary(data []byte) (*Message, error) {
-	d := &binDecoder{data: data, pos: 1} // pos 0 is the magic byte
+	d := &binDecoder{data: data, pos: 1} // pos 0 is the version byte
 	kind := Kind(d.u8())
 	m := &Message{Kind: kind, From: d.str()}
 	switch kind {

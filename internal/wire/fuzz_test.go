@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// fuzzSeeds returns one encoded frame per message kind plus a gob frame,
-// so both fuzz targets start from every decoder path.
+// fuzzSeeds returns one encoded frame per message kind plus one frame
+// with an unknown version byte, so both fuzz targets start from every
+// decoder path, the version check included.
 func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 	msgs := []*Message{
 		sampleGossipMessage(),
@@ -86,21 +87,15 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 	}
 	var seeds [][]byte
 	for _, m := range msgs {
-		data, err := Encode(m)
+		f, err := NewFrame(m, m.From)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeds = append(seeds, data)
+		seeds = append(seeds, f.Payload())
 	}
-	// One gob frame so the fallback decoder is in the corpus too.
-	SetGobFallback(true)
-	data, err := Encode(sampleGossipMessage())
-	SetGobFallback(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds = append(seeds, data)
-	return seeds
+	stale := append([]byte(nil), seeds[0]...)
+	stale[0] = formatVersion - 1
+	return append(seeds, stale)
 }
 
 // FuzzDecode feeds arbitrary bytes to Decode: it must never panic, never
@@ -110,8 +105,8 @@ func FuzzDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{codecMagic})
-	f.Add([]byte{codecMagic, 0xFF, 0xFF})
+	f.Add([]byte{formatVersion})
+	f.Add([]byte{formatVersion, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
@@ -120,7 +115,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := Encode(m); err != nil {
+		if _, err := NewFrame(m, m.From); err != nil {
 			t.Fatalf("decoded message fails to re-encode: %v", err)
 		}
 	})
@@ -141,7 +136,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc1, err := Encode(m1)
+		enc1, err := encodeBinary(m1, m1.From, 0)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
@@ -149,7 +144,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v\nframe: %x", err, enc1)
 		}
-		enc2, err := Encode(m2)
+		enc2, err := encodeBinary(m2, m2.From, 0)
 		if err != nil {
 			t.Fatalf("second re-encode: %v", err)
 		}
