@@ -8,7 +8,7 @@ SHELL := bash
 
 GO ?= go
 
-.PHONY: all build test test-1cpu vet race fmt-check lint smoke bench bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
+.PHONY: all build test test-1cpu vet race fmt-check lint smoke bench bench-check bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
 
 all: build vet test
 
@@ -51,6 +51,13 @@ smoke: bin/newswire-bench
 # Quick-size experiment tables + hot-path micro-benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The NewsWire benchmark (nwbench/) is its own module, so the root
+# build and test never compile it. Vet and test it under run.sh's offline
+# module settings, so an API change that breaks the benchmark fails here.
+bench-check:
+	cd nwbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) vet ./...
+	cd nwbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
 
 # Parallel-executor smoke: regenerate E1 (largest standard point: 4096
 # nodes) under the parallel executor, gating on the serial-vs-parallel

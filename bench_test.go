@@ -213,7 +213,7 @@ func BenchmarkForwardFilterBloom(b *testing.B) {
 		Publisher: "p", ID: "i", Headline: "h", Body: "b",
 		Subjects: []string{"tech/linux"}, Published: time.Unix(0, 0),
 	}
-	env, err := pubsub.EncodeItem(it, pubsub.ModeBloom, geo, nil)
+	env, err := pubsub.EncodeItem(it, pubsub.ModeBloom, geo)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func run(args []string) error {
 	var (
 		peers     = fs.String("peers", "", "comma-separated seed peer addresses (required)")
 		zone      = fs.String("zone", "/default", "leaf zone to join")
-		mode      = fs.String("mode", "", "cluster subscription-summary mode: bloom (default), attributes, category-mask or predicate — must match the subscribers")
+		mode      = fs.String("mode", "", "cluster subscription-summary mode: bloom (default), attributes or predicate — must match the subscribers")
 		publisher = fs.String("publisher", "", "publisher name (required)")
 		scope     = fs.String("scope", "/", "dissemination scope zone (§8)")
 		predicate = fs.String("predicate", "", "forwarding predicate over zone attributes (§8)")

@@ -67,9 +67,9 @@ func run(args []string) error {
 		zone      = fs.String("zone", "/default", "leaf zone path, e.g. /usa/ny")
 		name      = fs.String("name", "", "node name (default derived from address)")
 		peers     = fs.String("peers", "", "comma-separated seed peer addresses")
-		mode      = fs.String("mode", "", "subscription-summary mode: bloom (default), attributes, category-mask or predicate")
+		mode      = fs.String("mode", "", "subscription-summary mode: bloom (default), attributes or predicate")
 		subscribe = fs.String("subscribe", "", "comma-separated subscription subjects")
-		queryStr  = fs.String("query", "", "typed predicate subscription, e.g. \"subjects = 'tech/linux' AND urgency >= 6\" (requires -mode predicate; repeatable via ';')")
+		queryStr  = fs.String("query", "", "typed predicate subscription, e.g. \"subjects = 'tech/linux' AND urgency >= 6\" or, per publisher, \"publisher = 'slashdot' AND subjects IN ('tech/linux')\" (requires -mode predicate; repeatable via ';')")
 		predicate = fs.String("predicate", "", "SQL selection predicate over item metadata")
 		interval  = fs.Duration("interval", 2*time.Second, "gossip interval")
 		httpAddr  = fs.String("http", "", "serve the status web interface on this address (e.g. 127.0.0.1:8080)")

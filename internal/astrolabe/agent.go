@@ -111,8 +111,7 @@ type PrefixOp int
 
 // Prefix aggregation operators.
 const (
-	PrefixBitOr PrefixOp = iota + 1
-	PrefixBoolOr
+	PrefixBoolOr PrefixOp = iota + 1
 	PrefixSum
 	// PrefixMin and PrefixMax keep the smallest/largest value under
 	// value.Compare semantics: numeric across Int/Float, lexical within
@@ -1260,25 +1259,6 @@ func applyPrefixRules(rules []PrefixRule, inputs []value.Map, out value.Map) {
 
 func mergePrefixValue(op PrefixOp, acc, v value.Value) value.Value {
 	switch op {
-	case PrefixBitOr:
-		ab, ok1 := acc.RawBytes()
-		vb, ok2 := v.RawBytes()
-		if !ok1 {
-			return v
-		}
-		if !ok2 {
-			return acc
-		}
-		n := len(ab)
-		if len(vb) > n {
-			n = len(vb)
-		}
-		out := make([]byte, n)
-		copy(out, ab)
-		for i, x := range vb {
-			out[i] |= x
-		}
-		return value.Bytes(out)
 	case PrefixBoolOr:
 		a, _ := acc.AsBool()
 		b, _ := v.AsBool()

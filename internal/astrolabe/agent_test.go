@@ -363,24 +363,22 @@ func TestZoneReconfigurationAfterRepFailure(t *testing.T) {
 func TestPrefixRuleAggregation(t *testing.T) {
 	zones := []string{"/z", "/z"}
 	c := newTestCluster(t, zones, func(i int, cfg *Config) {
-		cfg.PrefixRules = []PrefixRule{{Prefix: "pub_", Op: PrefixBitOr}}
+		cfg.PrefixRules = []PrefixRule{{Prefix: "items_", Op: PrefixSum}}
 	})
-	c.agents[0].SetAttr("pub_slashdot", value.Bytes([]byte{0b0001}))
-	c.agents[1].SetAttr("pub_slashdot", value.Bytes([]byte{0b0100}))
-	c.agents[1].SetAttr("pub_wired", value.Bytes([]byte{0b1000}))
+	c.agents[0].SetAttr("items_slashdot", value.Int(1))
+	c.agents[1].SetAttr("items_slashdot", value.Int(4))
+	c.agents[1].SetAttr("items_wired", value.Int(8))
 	c.runRounds(6)
 
 	row, ok := c.agents[0].Row("/", "z")
 	if !ok {
 		t.Fatal("missing root aggregate")
 	}
-	slash, ok := row.Attrs["pub_slashdot"].RawBytes()
-	if !ok || slash[0] != 0b0101 {
-		t.Fatalf("pub_slashdot = %v, want 0b0101", row.Attrs["pub_slashdot"])
+	if slash, ok := row.Attrs["items_slashdot"].AsFloat(); !ok || slash != 5 {
+		t.Fatalf("items_slashdot = %v, want 5", row.Attrs["items_slashdot"])
 	}
-	wired, ok := row.Attrs["pub_wired"].RawBytes()
-	if !ok || wired[0] != 0b1000 {
-		t.Fatalf("pub_wired = %v", row.Attrs["pub_wired"])
+	if wired, ok := row.Attrs["items_wired"].AsFloat(); !ok || wired != 8 {
+		t.Fatalf("items_wired = %v, want 8", row.Attrs["items_wired"])
 	}
 }
 

@@ -64,8 +64,6 @@ type Config struct {
 	Mode pubsub.Mode
 	// Geometry is the Bloom geometry. Default pubsub.DefaultGeometry.
 	Geometry pubsub.Geometry
-	// Vocabulary backs ModeCategoryMask. Default news.StandardSubjects.
-	Vocabulary []string
 	// SubgroupK bounds subgroup filters per zone row (ModePredicate).
 	// Default pubsub.DefaultSubgroupK.
 	SubgroupK int
@@ -228,9 +226,6 @@ func NewNode(cfg Config) (*Node, error) {
 	case pubsub.ModeAttributes:
 		prefixRules = append(prefixRules,
 			astrolabe.PrefixRule{Prefix: pubsub.AttrSubPrefix, Op: astrolabe.PrefixBoolOr})
-	case pubsub.ModeCategoryMask:
-		prefixRules = append(prefixRules,
-			astrolabe.PrefixRule{Prefix: pubsub.AttrPubPrefix, Op: astrolabe.PrefixBitOr})
 	case pubsub.ModePredicate:
 		prefixRules = append(prefixRules,
 			astrolabe.PrefixRule{Prefix: pubsub.AttrSubGroups, Op: astrolabe.PrefixSubgroup})
@@ -263,12 +258,11 @@ func NewNode(cfg Config) (*Node, error) {
 	n.agent = agent
 
 	sub, err := pubsub.NewSubscriber(pubsub.Config{
-		Agent:      agent,
-		Mode:       cfg.Mode,
-		Geometry:   cfg.Geometry,
-		Vocabulary: cfg.Vocabulary,
-		SubgroupK:  cfg.SubgroupK,
-		Counters:   &n.routing,
+		Agent:     agent,
+		Mode:      cfg.Mode,
+		Geometry:  cfg.Geometry,
+		SubgroupK: cfg.SubgroupK,
+		Counters:  &n.routing,
 	})
 	if err != nil {
 		return nil, err
@@ -454,8 +448,9 @@ func (n *Node) Unsubscribe(subjects ...string) {
 	n.sub.Unsubscribe(subjects...)
 }
 
-// SubscribePublisher registers per-publisher category interest
-// (ModeCategoryMask).
+// SubscribePublisher registers per-publisher category interest as the
+// predicate subscription publisher = 'P' AND subjects IN (…)
+// (ModePredicate; see pubsub.Subscriber.SubscribePublisher).
 func (n *Node) SubscribePublisher(publisher string, categories ...string) error {
 	return n.sub.SubscribePublisher(publisher, categories...)
 }
@@ -706,7 +701,7 @@ func (n *Node) PublishItem(it *news.Item, scope, predicate string) error {
 	if n.limit != nil && !n.limit.Allow(it.Publisher, 1) {
 		return fmt.Errorf("core: publisher %q over admission rate", it.Publisher)
 	}
-	env, err := pubsub.EncodeItem(it, n.cfg.Mode, n.cfg.Geometry, n.cfg.Vocabulary)
+	env, err := pubsub.EncodeItem(it, n.cfg.Mode, n.cfg.Geometry)
 	if err != nil {
 		return err
 	}

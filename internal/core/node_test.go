@@ -305,7 +305,7 @@ func TestSecurityEndToEnd(t *testing.T) {
 
 	// A forged envelope injected directly is dropped by verification.
 	forged, _ := pubsub.EncodeItem(testItem("forged", "tech/linux"),
-		pubsub.ModeBloom, pubsub.DefaultGeometry, nil)
+		pubsub.ModeBloom, pubsub.DefaultGeometry)
 	forged.Signer = "slashdot"
 	forged.Sig = []byte("not a signature")
 	c.Nodes[2].HandleMessage(&wire.Message{
@@ -600,12 +600,13 @@ func TestNodeSubscriberPredicateFiltersDelivery(t *testing.T) {
 }
 
 func TestCategoryMaskModeEndToEnd(t *testing.T) {
-	// The early prototype's per-publisher category masks (§7), end to end.
+	// The early prototype's per-publisher category interest (§7), end to
+	// end, as predicate subscriptions.
 	delivered := make(map[int]int)
 	c, err := NewCluster(ClusterConfig{
 		N: 4, Branching: 2, Seed: 29,
 		Customize: func(i int, cfg *Config) {
-			cfg.Mode = pubsub.ModeCategoryMask
+			cfg.Mode = pubsub.ModePredicate
 			node := i
 			cfg.OnItem = func(*news.Item, *wire.ItemEnvelope) { delivered[node]++ }
 		},
@@ -633,6 +634,11 @@ func TestCategoryMaskModeEndToEnd(t *testing.T) {
 	}
 	if delivered[2] != 0 {
 		t.Error("wired subscriber received a slashdot item")
+	}
+	// The wired subscriber's subtree was pruned upstream: the item never
+	// reached node 2's leaf check at all.
+	if rs := c.Nodes[2].RoutingStats(); rs.ExactMatches != 0 || rs.FalsePositiveDrops != 0 {
+		t.Errorf("node 2 leaf check saw the item: %+v", rs)
 	}
 }
 
@@ -663,7 +669,7 @@ func TestStateReplySecurityFiltering(t *testing.T) {
 
 	// A state reply carrying an unsigned envelope must be discarded.
 	env, _ := pubsub.EncodeItem(testItem("sneak", "tech/linux"),
-		pubsub.ModeBloom, pubsub.DefaultGeometry, nil)
+		pubsub.ModeBloom, pubsub.DefaultGeometry)
 	n.HandleMessage(&wire.Message{
 		Kind:       wire.KindStateReply,
 		From:       "evil",

@@ -162,7 +162,7 @@ func runE8Case(seed int64, n, subjectPool, items int, mode pubsub.Mode) ([]strin
 			maxAttrs = len(r.Attrs)
 		}
 	}
-	env, _ := pubsub.EncodeItem(e8Probe(pool[0]), mode, e8Geometry, nil)
+	env, _ := pubsub.EncodeItem(e8Probe(pool[0]), mode, e8Geometry)
 	filter := pubsub.ForwardFilter(mode, e8Geometry, nil)
 	var row astrolabe.Row
 	if len(rows) > 0 {

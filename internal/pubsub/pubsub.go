@@ -13,8 +13,6 @@
 //   - ModeAttributes — the strawman §6 rejects: one boolean attribute per
 //     subscription, aggregated by OR. Work and gossip size grow linearly
 //     with the number of distinct subscriptions (experiment E8).
-//   - ModeCategoryMask — the early prototype of §7: a per-publisher bit
-//     mask attribute over a fixed category vocabulary.
 //   - ModePredicate — the §7 target design: typed SQL predicates over
 //     item metadata (internal/query), compiled to sound Bloom signatures
 //     over the subject/publisher/urgency dimensions. The single-filter
@@ -23,12 +21,18 @@
 //     subscriptions into up to K subgroup filters per zone row, so
 //     intermediate zones test tight per-cluster filters instead of one
 //     saturated OR-of-everything — cutting false-positive forwards.
+//
+// Per-publisher interest (the §7 prototype's per-publisher category masks)
+// is a ModePredicate front end: SubscribePublisher registers the predicate
+// publisher = 'P' AND subjects IN (…), so it shows in Queries in its
+// canonical form, not in Subjects.
 package pubsub
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -49,7 +53,6 @@ type Mode int
 const (
 	ModeBloom Mode = iota + 1
 	ModeAttributes
-	ModeCategoryMask
 	ModePredicate
 )
 
@@ -60,8 +63,6 @@ func (m Mode) String() string {
 		return "bloom"
 	case ModeAttributes:
 		return "attributes"
-	case ModeCategoryMask:
-		return "category-mask"
 	case ModePredicate:
 		return "predicate"
 	default:
@@ -77,22 +78,16 @@ func ParseMode(name string) (Mode, error) {
 		return ModeBloom, nil
 	case "attributes":
 		return ModeAttributes, nil
-	case "category-mask":
-		return ModeCategoryMask, nil
 	case "predicate":
 		return ModePredicate, nil
 	default:
-		return 0, fmt.Errorf("pubsub: unknown mode %q (bloom, attributes, category-mask, predicate)", name)
+		return 0, fmt.Errorf("pubsub: unknown mode %q (bloom, attributes, predicate)", name)
 	}
 }
 
 // AttrSubPrefix is the attribute-name prefix of ModeAttributes
 // subscriptions ("sub_tech/linux" = true).
 const AttrSubPrefix = "sub_"
-
-// AttrPubPrefix is the attribute-name prefix of ModeCategoryMask masks
-// ("pub_reuters" = category bit mask).
-const AttrPubPrefix = "pub_"
 
 // AttrSubGroups is the attribute carrying a zone's subgroup signature set
 // (ModePredicate): an encoded bloom.SignatureSet of up to SubgroupK
@@ -183,9 +178,6 @@ type Config struct {
 	// Geometry is the Bloom geometry (ModeBloom/ModePredicate). Default
 	// DefaultGeometry.
 	Geometry Geometry
-	// Vocabulary is the category list indexed by ModeCategoryMask masks.
-	// Default news.StandardSubjects.
-	Vocabulary []string
 	// SubgroupK bounds the subgroup filters per zone row (ModePredicate).
 	// Default DefaultSubgroupK.
 	SubgroupK int
@@ -198,12 +190,10 @@ type Config struct {
 // attributes that advertise it in sync, and answers the local
 // exact-match/delivery question.
 type Subscriber struct {
-	cfg   Config
-	vocab map[string]int // category -> bit index (ModeCategoryMask)
+	cfg Config
 
 	mu        sync.Mutex
 	subjects  map[string]bool
-	perPub    map[string]map[string]bool // publisher -> categories (mask mode)
 	predicate *sqlagg.Predicate
 	queries   map[string]*sqlagg.Predicate // canonical source -> predicate (ModePredicate)
 }
@@ -218,7 +208,7 @@ func NewSubscriber(cfg Config) (*Subscriber, error) {
 		cfg.Mode = ModeBloom
 	}
 	switch cfg.Mode {
-	case ModeBloom, ModeAttributes, ModeCategoryMask, ModePredicate:
+	case ModeBloom, ModeAttributes, ModePredicate:
 	default:
 		return nil, &ConfigError{Field: "Mode", Msg: fmt.Sprintf("unknown mode %d", cfg.Mode)}
 	}
@@ -246,20 +236,11 @@ func NewSubscriber(cfg Config) (*Subscriber, error) {
 			Msg:   fmt.Sprintf("subgroup count %d outside [1, %d]", cfg.SubgroupK, MaxSubgroupK),
 		}
 	}
-	if cfg.Vocabulary == nil {
-		cfg.Vocabulary = news.StandardSubjects
-	}
-	s := &Subscriber{
+	return &Subscriber{
 		cfg:      cfg,
-		vocab:    make(map[string]int, len(cfg.Vocabulary)),
 		subjects: make(map[string]bool),
-		perPub:   make(map[string]map[string]bool),
 		queries:  make(map[string]*sqlagg.Predicate),
-	}
-	for i, c := range cfg.Vocabulary {
-		s.vocab[c] = i
-	}
-	return s, nil
+	}, nil
 }
 
 // Mode returns the subscriber's summary mode.
@@ -272,11 +253,6 @@ func (s *Subscriber) Subscribe(subjects ...string) error {
 	for _, subj := range subjects {
 		if subj == "" {
 			return fmt.Errorf("pubsub: empty subject")
-		}
-		if s.cfg.Mode == ModeCategoryMask {
-			if _, ok := s.vocab[subj]; !ok {
-				return fmt.Errorf("pubsub: subject %q not in category vocabulary", subj)
-			}
 		}
 		s.subjects[subj] = true
 	}
@@ -297,27 +273,24 @@ func (s *Subscriber) Unsubscribe(subjects ...string) {
 }
 
 // SubscribePublisher registers interest in specific categories of one
-// publisher (the per-publisher interest areas of §7, ModeCategoryMask).
+// publisher (the per-publisher interest areas of §7) as the predicate
+// subscription publisher = 'P' AND subjects IN ('c1', …). Like
+// SubscribeQuery it requires ModePredicate. An empty publisher or category
+// list is an error, since either would register a query that never matches.
 func (s *Subscriber) SubscribePublisher(publisher string, categories ...string) error {
-	if s.cfg.Mode != ModeCategoryMask {
-		return fmt.Errorf("pubsub: SubscribePublisher requires ModeCategoryMask")
+	if publisher == "" {
+		return fmt.Errorf("pubsub: SubscribePublisher needs a publisher")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := s.perPub[publisher]
-	if set == nil {
-		set = make(map[string]bool)
-		s.perPub[publisher] = set
+	if len(categories) == 0 {
+		return fmt.Errorf("pubsub: SubscribePublisher needs at least one category")
 	}
-	for _, c := range categories {
-		if _, ok := s.vocab[c]; !ok {
-			return fmt.Errorf("pubsub: category %q not in vocabulary", c)
-		}
-		set[c] = true
-		s.subjects[c] = true
+	cats := make([]string, len(categories))
+	for i, c := range categories {
+		cats[i] = sqlagg.Quote(c)
 	}
-	s.advertiseLocked()
-	return nil
+	_, err := s.SubscribeQuery("publisher = " + sqlagg.Quote(publisher) +
+		" AND subjects IN (" + strings.Join(cats, ", ") + ")")
+	return err
 }
 
 // SetPredicate installs an SQL selection predicate over item metadata, the
@@ -422,21 +395,6 @@ func (s *Subscriber) advertiseLocked() {
 		}
 		s.cfg.Agent.SetAttrs(updates)
 
-	case ModeCategoryMask:
-		updates := make(value.Map)
-		for name := range s.ownPubAttrs() {
-			updates[name] = value.Invalid()
-		}
-		for pub, cats := range s.perPub {
-			mask := make([]byte, (len(s.cfg.Vocabulary)+7)/8)
-			for c := range cats {
-				idx := s.vocab[c]
-				mask[idx/8] |= 1 << (idx % 8)
-			}
-			updates[AttrPubPrefix+pub] = value.Bytes(mask)
-		}
-		s.cfg.Agent.SetAttrs(updates)
-
 	case ModePredicate:
 		// One signature filter carries this node's whole subscription set:
 		// plain subjects compile as (those subjects, any publisher, any
@@ -467,15 +425,6 @@ func (s *Subscriber) advertiseLocked() {
 
 // ownSubAttrs lists the agent's current sub_* attributes.
 func (s *Subscriber) ownSubAttrs() map[string]bool {
-	return s.ownPrefixedAttrs(AttrSubPrefix)
-}
-
-// ownPubAttrs lists the agent's current pub_* attributes.
-func (s *Subscriber) ownPubAttrs() map[string]bool {
-	return s.ownPrefixedAttrs(AttrPubPrefix)
-}
-
-func (s *Subscriber) ownPrefixedAttrs(prefix string) map[string]bool {
 	out := make(map[string]bool)
 	rows, ok := s.cfg.Agent.Table(s.cfg.Agent.ZonePath())
 	if !ok {
@@ -486,7 +435,7 @@ func (s *Subscriber) ownPrefixedAttrs(prefix string) map[string]bool {
 			continue
 		}
 		for name := range r.Attrs {
-			if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
+			if strings.HasPrefix(name, AttrSubPrefix) {
 				out[name] = true
 			}
 		}
@@ -534,24 +483,6 @@ func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 	if !matched {
 		return false
 	}
-	if s.cfg.Mode == ModeCategoryMask {
-		// Interest is per publisher: the subject must be subscribed for
-		// this specific publisher.
-		set := s.perPub[env.Publisher]
-		if set == nil {
-			return false
-		}
-		pubMatch := false
-		for _, subj := range env.Subjects {
-			if set[subj] {
-				pubMatch = true
-				break
-			}
-		}
-		if !pubMatch {
-			return false
-		}
-	}
 	if s.predicate != nil {
 		return s.predicate.Eval(ItemMetadataRow(env))
 	}
@@ -597,16 +528,6 @@ func ForwardFilter(mode Mode, geo Geometry, ctr *Counters) multicast.Filter {
 				if v, ok := row.Attrs[AttrSubPrefix+subj].AsBool(); ok && v {
 					forward = true
 					break
-				}
-			}
-
-		case ModeCategoryMask:
-			if mask, ok := row.Attrs[AttrPubPrefix+env.Publisher].RawBytes(); ok {
-				for _, pos := range env.SubjectBits {
-					if int(pos/8) < len(mask) && mask[pos/8]&(1<<(pos%8)) != 0 {
-						forward = true
-						break
-					}
 				}
 			}
 
@@ -832,7 +753,7 @@ func predicatePositions(env *wire.ItemEnvelope, geo Geometry) []uint32 {
 
 // EncodeItem builds the wire envelope for an item: NITF payload, subject
 // bit positions for the configured mode, and mirrored routing metadata.
-func EncodeItem(it *news.Item, mode Mode, geo Geometry, vocabulary []string) (wire.ItemEnvelope, error) {
+func EncodeItem(it *news.Item, mode Mode, geo Geometry) (wire.ItemEnvelope, error) {
 	if geo.Bits == 0 {
 		geo = DefaultGeometry
 	}
@@ -850,21 +771,6 @@ func EncodeItem(it *news.Item, mode Mode, geo Geometry, vocabulary []string) (wi
 		Payload:   payload,
 	}
 	switch mode {
-	case ModeCategoryMask:
-		if vocabulary == nil {
-			vocabulary = news.StandardSubjects
-		}
-		idx := make(map[string]int, len(vocabulary))
-		for i, c := range vocabulary {
-			idx[c] = i
-		}
-		for _, subj := range it.Subjects {
-			i, ok := idx[subj]
-			if !ok {
-				return wire.ItemEnvelope{}, fmt.Errorf("pubsub: subject %q not in vocabulary", subj)
-			}
-			env.SubjectBits = append(env.SubjectBits, uint32(i))
-		}
 	case ModeAttributes:
 		// Exact subjects travel in env.Subjects; no bits needed.
 	case ModePredicate:

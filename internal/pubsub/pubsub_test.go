@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +27,6 @@ func testAgent(t *testing.T) *astrolabe.Agent {
 		Clock: eng.Clock(), Rand: rand.New(rand.NewSource(1)),
 		PrefixRules: []astrolabe.PrefixRule{
 			{Prefix: AttrSubPrefix, Op: astrolabe.PrefixBoolOr},
-			{Prefix: AttrPubPrefix, Op: astrolabe.PrefixBitOr},
 		},
 	})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestNewSubscriberValidation(t *testing.T) {
 
 func TestModeString(t *testing.T) {
 	if ModeBloom.String() != "bloom" || ModeAttributes.String() != "attributes" ||
-		ModeCategoryMask.String() != "category-mask" {
+		ModePredicate.String() != "predicate" {
 		t.Error("mode names wrong")
 	}
 	if Mode(9).String() != "mode(9)" {
@@ -145,41 +145,88 @@ func TestSubscribeAdvertisesAttributes(t *testing.T) {
 }
 
 func TestSubscribePublisherMask(t *testing.T) {
-	a := testAgent(t)
-	s, _ := NewSubscriber(Config{Agent: a, Mode: ModeCategoryMask})
-	if err := s.SubscribePublisher("slashdot", "tech/linux"); err != nil {
+	a := predicateAgent(t)
+	s, _ := NewSubscriber(Config{Agent: a, Mode: ModePredicate})
+	if err := s.SubscribePublisher("slashdot", "tech/linux", "tech/security"); err != nil {
 		t.Fatal(err)
 	}
-	mask, ok := a.Attr(AttrPubPrefix + "slashdot").RawBytes()
-	if !ok {
-		t.Fatal("pub_ mask not advertised")
+	// Per-publisher interest is a predicate subscription, listed in its
+	// canonical form; the plain subject set stays empty.
+	want, err := query.Parse("publisher = 'slashdot' AND subjects IN ('tech/linux', 'tech/security')")
+	if err != nil {
+		t.Fatal(err)
 	}
-	idx := -1
-	for i, c := range news.StandardSubjects {
-		if c == "tech/linux" {
-			idx = i
+	if qs := s.Queries(); len(qs) != 1 || qs[0] != want.String() {
+		t.Fatalf("Queries() = %v, want [%s]", qs, want)
+	}
+	if subs := s.Subjects(); len(subs) != 0 {
+		t.Fatalf("Subjects() = %v, want none", subs)
+	}
+	// The advertised signature names the publisher and both categories and
+	// leaves urgency open.
+	enc, ok := a.Attr(AttrSubGroups).RawBytes()
+	if !ok {
+		t.Fatal("subgroup set not advertised")
+	}
+	_, filters, ok := bloom.DecodeSignatureSet(enc)
+	if !ok || len(filters) != 1 {
+		t.Fatalf("subgroup set: n=%d ok=%v", len(filters), ok)
+	}
+	f, err := bloom.FromBytes(filters[0], DefaultGeometry.Bits, DefaultGeometry.Hashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{
+		query.PublisherKey("slashdot"), query.SubjectKey("tech/linux"),
+		query.SubjectKey("tech/security"), query.WildUrgency,
+	} {
+		if !f.Test(key) {
+			t.Errorf("advertised filter missing %q", key)
 		}
 	}
-	if mask[idx/8]&(1<<(idx%8)) == 0 {
-		t.Fatal("category bit not set in mask")
+	if f.Test(query.WildPublisher) || f.Test(query.WildSubject) {
+		t.Error("advertised filter leaves publisher or subject open")
 	}
-	if err := s.SubscribePublisher("slashdot", "not/a/category"); err == nil {
-		t.Fatal("unknown category accepted")
-	}
-	// SubscribePublisher outside mask mode fails.
-	sb, _ := NewSubscriber(Config{Agent: a})
+	// SubscribePublisher outside predicate mode fails, as SubscribeQuery does.
+	sb, _ := NewSubscriber(Config{Agent: testAgent(t)})
 	if err := sb.SubscribePublisher("x", "tech/linux"); err == nil {
 		t.Fatal("SubscribePublisher in bloom mode accepted")
 	}
-	// Subscribe with an out-of-vocabulary subject fails in mask mode.
-	if err := s.Subscribe("nonexistent/cat"); err == nil {
-		t.Fatal("out-of-vocabulary Subscribe accepted in mask mode")
+}
+
+func TestSubscribePublisherQuotesValues(t *testing.T) {
+	s, _ := NewSubscriber(Config{Agent: predicateAgent(t), Mode: ModePredicate})
+	if err := s.SubscribePublisher("o'reilly", "tech/linux"); err != nil {
+		t.Fatal(err)
+	}
+	it := testItem()
+	it.Publisher = "o'reilly"
+	env, _ := EncodeItem(it, ModePredicate, Geometry{})
+	if !s.ShouldDeliver(&env) {
+		t.Fatal("o'reilly item rejected")
+	}
+	other, _ := EncodeItem(testItem(), ModePredicate, Geometry{}) // slashdot, same subject
+	if s.ShouldDeliver(&other) {
+		t.Fatal("slashdot item delivered to an o'reilly subscription")
+	}
+}
+
+func TestSubscribePublisherRejectsEmpty(t *testing.T) {
+	s, _ := NewSubscriber(Config{Agent: predicateAgent(t), Mode: ModePredicate})
+	if err := s.SubscribePublisher("", "tech/linux"); err == nil {
+		t.Error("empty publisher accepted")
+	}
+	if err := s.SubscribePublisher("slashdot"); err == nil {
+		t.Error("empty category list accepted")
+	}
+	if qs := s.Queries(); len(qs) != 0 {
+		t.Fatalf("rejected calls registered %v", qs)
 	}
 }
 
 func TestEncodeDecodeItemBloom(t *testing.T) {
 	it := testItem()
-	env, err := EncodeItem(it, ModeBloom, DefaultGeometry, nil)
+	env, err := EncodeItem(it, ModeBloom, DefaultGeometry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +251,7 @@ func TestEncodeDecodeItemBloom(t *testing.T) {
 
 func TestDecodeItemRejectsMismatchedEnvelope(t *testing.T) {
 	it := testItem()
-	env, _ := EncodeItem(it, ModeBloom, DefaultGeometry, nil)
+	env, _ := EncodeItem(it, ModeBloom, DefaultGeometry)
 
 	bad := env
 	bad.ItemID = "other"
@@ -224,22 +271,6 @@ func TestDecodeItemRejectsMismatchedEnvelope(t *testing.T) {
 	}
 }
 
-func TestEncodeItemMaskMode(t *testing.T) {
-	it := testItem()
-	env, err := EncodeItem(it, ModeCategoryMask, DefaultGeometry, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env.SubjectBits) != 1 {
-		t.Fatalf("SubjectBits = %v", env.SubjectBits)
-	}
-	it2 := testItem()
-	it2.Subjects = []string{"unknown/category"}
-	if _, err := EncodeItem(it2, ModeCategoryMask, DefaultGeometry, nil); err == nil {
-		t.Fatal("out-of-vocabulary subject accepted")
-	}
-}
-
 func rowWithSubs(filter *bloom.Filter) astrolabe.Row {
 	return astrolabe.Row{
 		Name:  "child",
@@ -255,14 +286,14 @@ func TestForwardFilterBloom(t *testing.T) {
 	f.Add("tech/linux")
 	row := rowWithSubs(f)
 
-	env, _ := EncodeItem(testItem(), ModeBloom, geo, nil)
+	env, _ := EncodeItem(testItem(), ModeBloom, geo)
 	if !filter("/", row, &env) {
 		t.Fatal("matching subscription not forwarded")
 	}
 
 	other := testItem()
 	other.Subjects = []string{"sports/soccer"}
-	envOther, _ := EncodeItem(other, ModeBloom, geo, nil)
+	envOther, _ := EncodeItem(other, ModeBloom, geo)
 	if filter("/", row, &envOther) {
 		t.Fatal("non-matching subject forwarded (and this subject does not collide)")
 	}
@@ -282,7 +313,7 @@ func TestForwardFilterBloomMultiSubjectAnyMatch(t *testing.T) {
 
 	it := testItem()
 	it.Subjects = []string{"tech/linux", "world/asia"}
-	env, _ := EncodeItem(it, ModeBloom, geo, nil)
+	env, _ := EncodeItem(it, ModeBloom, geo)
 	if len(env.SubjectBits) != 8 {
 		t.Fatalf("expected 2 subjects × 4 hashes positions, got %d", len(env.SubjectBits))
 	}
@@ -294,7 +325,7 @@ func TestForwardFilterBloomMultiSubjectAnyMatch(t *testing.T) {
 func TestForwardFilterAttributes(t *testing.T) {
 	filter := ForwardFilter(ModeAttributes, Geometry{}, nil)
 	row := astrolabe.Row{Attrs: value.Map{AttrSubPrefix + "tech/linux": value.Bool(true)}}
-	env, _ := EncodeItem(testItem(), ModeAttributes, Geometry{}, nil)
+	env, _ := EncodeItem(testItem(), ModeAttributes, Geometry{})
 	if !filter("/", row, &env) {
 		t.Fatal("attribute match failed")
 	}
@@ -304,26 +335,25 @@ func TestForwardFilterAttributes(t *testing.T) {
 	}
 }
 
-func TestForwardFilterCategoryMask(t *testing.T) {
-	filter := ForwardFilter(ModeCategoryMask, Geometry{}, nil)
-	idx := 0
-	for i, c := range news.StandardSubjects {
-		if c == "tech/linux" {
-			idx = i
-		}
+func TestForwardFilterPerPublisher(t *testing.T) {
+	a := predicateAgent(t)
+	s, _ := NewSubscriber(Config{Agent: a, Mode: ModePredicate})
+	if err := s.SubscribePublisher("slashdot", "tech/linux"); err != nil {
+		t.Fatal(err)
 	}
-	mask := make([]byte, (len(news.StandardSubjects)+7)/8)
-	mask[idx/8] |= 1 << (idx % 8)
-	row := astrolabe.Row{Attrs: value.Map{AttrPubPrefix + "slashdot": value.Bytes(mask)}}
+	row := astrolabe.Row{Attrs: value.Map{AttrSubGroups: a.Attr(AttrSubGroups)}}
+	filter := ForwardFilter(ModePredicate, Geometry{}, nil)
 
-	env, _ := EncodeItem(testItem(), ModeCategoryMask, Geometry{}, nil)
+	env, _ := EncodeItem(testItem(), ModePredicate, Geometry{})
 	if !filter("/", row, &env) {
-		t.Fatal("mask match failed")
+		t.Fatal("per-publisher match pruned")
 	}
-	// Same mask under a different publisher attribute: prune.
-	otherPub := astrolabe.Row{Attrs: value.Map{AttrPubPrefix + "wired": value.Bytes(mask)}}
-	if filter("/", otherPub, &env) {
-		t.Fatal("mask of different publisher matched")
+	// Same category from a different publisher: prune.
+	wired := testItem()
+	wired.Publisher = "wired"
+	envW, _ := EncodeItem(wired, ModePredicate, Geometry{})
+	if filter("/", row, &envW) {
+		t.Fatal("another publisher's item forwarded")
 	}
 }
 
@@ -332,14 +362,14 @@ func TestShouldDeliverExactMatch(t *testing.T) {
 	s, _ := NewSubscriber(Config{Agent: a})
 	s.Subscribe("tech/linux")
 
-	env, _ := EncodeItem(testItem(), ModeBloom, DefaultGeometry, nil)
+	env, _ := EncodeItem(testItem(), ModeBloom, DefaultGeometry)
 	if !s.ShouldDeliver(&env) {
 		t.Fatal("subscribed item rejected")
 	}
 
 	other := testItem()
 	other.Subjects = []string{"sports/soccer"}
-	envOther, _ := EncodeItem(other, ModeBloom, DefaultGeometry, nil)
+	envOther, _ := EncodeItem(other, ModeBloom, DefaultGeometry)
 	if s.ShouldDeliver(&envOther) {
 		t.Fatal("unsubscribed item delivered — false positive not filtered")
 	}
@@ -353,14 +383,14 @@ func TestShouldDeliverPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env, _ := EncodeItem(testItem(), ModeBloom, DefaultGeometry, nil)
+	env, _ := EncodeItem(testItem(), ModeBloom, DefaultGeometry)
 	if !s.ShouldDeliver(&env) {
 		t.Fatal("predicate-satisfying item rejected")
 	}
 
 	urgent := testItem()
 	urgent.Urgency = 8
-	envU, _ := EncodeItem(urgent, ModeBloom, DefaultGeometry, nil)
+	envU, _ := EncodeItem(urgent, ModeBloom, DefaultGeometry)
 	if s.ShouldDeliver(&envU) {
 		t.Fatal("predicate-failing item delivered")
 	}
@@ -388,12 +418,11 @@ func TestShouldDeliverPredicate(t *testing.T) {
 	}
 }
 
-func TestShouldDeliverMaskModePerPublisher(t *testing.T) {
-	a := testAgent(t)
-	s, _ := NewSubscriber(Config{Agent: a, Mode: ModeCategoryMask})
+func TestShouldDeliverPerPublisher(t *testing.T) {
+	s, _ := NewSubscriber(Config{Agent: predicateAgent(t), Mode: ModePredicate})
 	s.SubscribePublisher("slashdot", "tech/linux")
 
-	env, _ := EncodeItem(testItem(), ModeCategoryMask, Geometry{}, nil)
+	env, _ := EncodeItem(testItem(), ModePredicate, Geometry{})
 	if !s.ShouldDeliver(&env) {
 		t.Fatal("subscribed publisher+category rejected")
 	}
@@ -401,14 +430,14 @@ func TestShouldDeliverMaskModePerPublisher(t *testing.T) {
 	// Same category from a different publisher must NOT deliver.
 	wired := testItem()
 	wired.Publisher = "wired"
-	envW, _ := EncodeItem(wired, ModeCategoryMask, Geometry{}, nil)
+	envW, _ := EncodeItem(wired, ModePredicate, Geometry{})
 	if s.ShouldDeliver(&envW) {
 		t.Fatal("per-publisher interest leaked to another publisher")
 	}
 }
 
 func TestItemMetadataRow(t *testing.T) {
-	env, _ := EncodeItem(testItem(), ModeBloom, DefaultGeometry, nil)
+	env, _ := EncodeItem(testItem(), ModeBloom, DefaultGeometry)
 	row := ItemMetadataRow(&env)
 	if p, _ := row["publisher"].AsString(); p != "slashdot" {
 		t.Errorf("publisher = %v", row["publisher"])
@@ -480,7 +509,7 @@ func TestParseMode(t *testing.T) {
 		in   string
 		want Mode
 	}{{"", ModeBloom}, {"bloom", ModeBloom}, {"attributes", ModeAttributes},
-		{"category-mask", ModeCategoryMask}, {"predicate", ModePredicate}} {
+		{"predicate", ModePredicate}} {
 		got, err := ParseMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseMode(%q) = %v, %v", tc.in, got, err)
@@ -491,6 +520,16 @@ func TestParseMode(t *testing.T) {
 	}
 	if _, err := ParseMode("nope"); err == nil {
 		t.Error("unknown mode name accepted")
+	}
+	// A retired mode name is unknown, and the error names the valid ones.
+	_, err := ParseMode("category-mask")
+	if err == nil {
+		t.Fatal("category-mask accepted")
+	}
+	for _, name := range []string{"bloom", "attributes", "predicate"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("ParseMode error %q does not name %q", err, name)
+		}
 	}
 }
 
@@ -582,13 +621,13 @@ func TestShouldDeliverQueryAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env, _ := EncodeItem(testItem(), ModePredicate, DefaultGeometry, nil)
+	env, _ := EncodeItem(testItem(), ModePredicate, DefaultGeometry)
 	if !s.ShouldDeliver(&env) {
 		t.Fatal("query-matching item rejected")
 	}
 	calm := testItem()
 	calm.Urgency = 1
-	envCalm, _ := EncodeItem(calm, ModePredicate, DefaultGeometry, nil)
+	envCalm, _ := EncodeItem(calm, ModePredicate, DefaultGeometry)
 	if s.ShouldDeliver(&envCalm) {
 		t.Fatal("query-failing item delivered")
 	}
@@ -604,7 +643,7 @@ func TestShouldDeliverQueryAndCounters(t *testing.T) {
 	soccer := testItem()
 	soccer.Subjects = []string{"sports/soccer"}
 	soccer.Urgency = 1
-	envSoccer, _ := EncodeItem(soccer, ModePredicate, DefaultGeometry, nil)
+	envSoccer, _ := EncodeItem(soccer, ModePredicate, DefaultGeometry)
 	if !s.ShouldDeliver(&envSoccer) {
 		t.Fatal("plain subject subscription lost in predicate mode")
 	}
@@ -614,7 +653,7 @@ func TestEncodeItemPredicateLayout(t *testing.T) {
 	it := testItem()
 	it.Subjects = []string{"tech/linux", "world/asia"}
 	geo := Geometry{Bits: 1024, Hashes: 4}
-	env, err := EncodeItem(it, ModePredicate, geo, nil)
+	env, err := EncodeItem(it, ModePredicate, geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,20 +693,20 @@ func TestForwardFilterPredicatePrecision(t *testing.T) {
 	filter := ForwardFilter(ModePredicate, geo, &ctr)
 
 	calm := testItem() // tech/linux, urgency 5
-	envCalm, _ := EncodeItem(calm, ModePredicate, geo, nil)
+	envCalm, _ := EncodeItem(calm, ModePredicate, geo)
 	if filter("/", row, &envCalm) {
 		t.Fatal("urgency below the predicate range forwarded — no precision win")
 	}
 	urgent := testItem()
 	urgent.Urgency = 7
-	envHot, _ := EncodeItem(urgent, ModePredicate, geo, nil)
+	envHot, _ := EncodeItem(urgent, ModePredicate, geo)
 	if !filter("/", row, &envHot) {
 		t.Fatal("matching item pruned — signature unsound")
 	}
 	wrongSubj := testItem()
 	wrongSubj.Subjects = []string{"sports/soccer"}
 	wrongSubj.Urgency = 7
-	envWS, _ := EncodeItem(wrongSubj, ModePredicate, geo, nil)
+	envWS, _ := EncodeItem(wrongSubj, ModePredicate, geo)
 	if filter("/", row, &envWS) {
 		t.Fatal("non-matching subject forwarded")
 	}
@@ -683,7 +722,7 @@ func TestForwardFilterPredicatePrecision(t *testing.T) {
 	fb.Add("tech/linux")
 	bloomRow := rowWithSubs(fb)
 	bloomFilter := ForwardFilter(ModeBloom, geo, nil)
-	envCalmB, _ := EncodeItem(calm, ModeBloom, geo, nil)
+	envCalmB, _ := EncodeItem(calm, ModeBloom, geo)
 	if !bloomFilter("/", bloomRow, &envCalmB) {
 		t.Fatal("bloom baseline broken")
 	}
@@ -697,7 +736,7 @@ func TestForwardFilterPredicateFallbacks(t *testing.T) {
 	sf := bloom.New(geo.Bits, geo.Hashes)
 	query.SubjectsSignature([]string{"tech/linux"}).Fill(sf)
 	subs := value.Bytes(sf.Bytes())
-	env, _ := EncodeItem(testItem(), ModePredicate, geo, nil)
+	env, _ := EncodeItem(testItem(), ModePredicate, geo)
 	filter := ForwardFilter(ModePredicate, geo, nil)
 
 	// No subg attribute: the OR-aggregated subs filter decides.
@@ -718,7 +757,7 @@ func TestForwardFilterPredicateFallbacks(t *testing.T) {
 	}
 	// Envelope encoded under another mode (no predicate position groups):
 	// the filter recomputes positions rather than misreading the layout.
-	envBloom, _ := EncodeItem(testItem(), ModeBloom, geo, nil)
+	envBloom, _ := EncodeItem(testItem(), ModeBloom, geo)
 	if !filter("/", astrolabe.Row{Attrs: value.Map{astrolabe.AttrSubs: subs}}, &envBloom) {
 		t.Fatal("cross-mode envelope not recomputed")
 	}

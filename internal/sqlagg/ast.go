@@ -33,16 +33,16 @@ type Literal struct {
 func (l *Literal) exprNode() {}
 func (l *Literal) String() string {
 	if s, ok := l.Val.AsString(); ok {
-		return quote(s)
+		return Quote(s)
 	}
 	if t, ok := l.Val.AsTime(); ok {
-		return quote(t.Format(time.RFC3339Nano))
+		return Quote(t.Format(time.RFC3339Nano))
 	}
 	return l.Val.String()
 }
 
-// quote renders s as a SQL string literal, doubling embedded quotes.
-func quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
+// Quote renders s as a SQL string literal, doubling embedded quotes.
+func Quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
 // Unary is a prefix operator application: "-x" or "NOT x".
 type Unary struct {
@@ -114,7 +114,7 @@ type Like struct {
 
 func (n *Like) exprNode() {}
 func (n *Like) String() string {
-	return "(" + n.X.String() + notWord(n.Not) + "LIKE " + quote(n.Pattern) + ")"
+	return "(" + n.X.String() + notWord(n.Not) + "LIKE " + Quote(n.Pattern) + ")"
 }
 
 // Between is "x [NOT] BETWEEN lo AND hi", inclusive at both ends.

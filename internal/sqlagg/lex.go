@@ -10,7 +10,7 @@
 // and is evaluated against a child zone table (a slice of attribute maps),
 // producing the parent summary row. Aggregate functions cover everything
 // the paper's examples need: MIN/MAX/SUM/AVG/COUNT for load and performance
-// summaries, BIT_OR for Bloom-filter and category-mask aggregation (§6–7),
+// summaries, BIT_OR for Bloom-filter aggregation (§6),
 // BOOL_OR/BOOL_AND for availability flags, FIRST for representative
 // attributes, and MINK/MAXK for electing the k best-loaded multicast
 // representatives (§5).
